@@ -9,7 +9,9 @@ package storagesched
 //	go test -bench=BenchmarkFIG3 -benchmem   # one figure only
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"iter"
@@ -350,6 +352,61 @@ func BenchmarkServeSweep_n50(b *testing.B) {
 			b.Fatalf("emitted %d fronts (%d failed), want %d clean", st.Items, st.Failed, len(ins))
 		}
 	}
+}
+
+// The body-decode rung: serve.DecodeItems drained over one 16-item
+// request body shaped like the process benchmark's (three n=120, m=8
+// instances — uniform, embedded, anticorrelated — per ~100-node DAG,
+// compact JSON, one document per line). It is the decode cost every
+// schedd request and `schedcli sweepbatch` stdin run pays before the
+// engine sees an item.
+//
+//	go test -run '^$' -bench BenchmarkDecodeItems_body16 -benchmem -count 5
+func BenchmarkDecodeItems_body16(b *testing.B) {
+	body := decodeBenchBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for item := range serve.DecodeItems("body", bytes.NewReader(body), nil) {
+			if item.Err != nil {
+				b.Fatal(item.Err)
+			}
+			n++
+		}
+		if n != 16 {
+			b.Fatalf("decoded %d items, want 16", n)
+		}
+	}
+}
+
+// decodeBenchBody builds the 16-item body of BenchmarkDecodeItems_body16.
+func decodeBenchBody(b *testing.B) []byte {
+	b.Helper()
+	families := [...]func(n, m int, seed int64) *model.Instance{gen.Uniform, gen.EmbeddedCode, gen.Anticorrelated}
+	var body, doc bytes.Buffer
+	for i := 0; i < 16; i++ {
+		doc.Reset()
+		var err error
+		seed := int64(i + 1)
+		switch {
+		case i%8 == 3:
+			err = gen.LayeredDAG(8, 25, 4, seed).WriteJSON(&doc)
+		case i%8 == 7:
+			err = gen.ForkJoin(8, 14, 6, seed).WriteJSON(&doc)
+		default:
+			err = families[i%3](120, 8, seed).WriteJSON(&doc)
+		}
+		if err == nil {
+			err = json.Compact(&body, doc.Bytes())
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		body.WriteByte('\n')
+	}
+	return body.Bytes()
 }
 
 func BenchmarkSweepSequential_n50(b *testing.B) {

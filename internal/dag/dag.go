@@ -8,6 +8,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"storagesched/internal/model"
@@ -67,6 +68,44 @@ func (g *Graph) AddEdge(u, v int) {
 	}
 	g.succs[u] = insertSorted(g.succs[u], v)
 	g.preds[v] = insertSorted(g.preds[v], u)
+}
+
+// addEdges inserts a batch of in-range, loop-free arcs into a graph
+// without arcs, building the same sorted duplicate-free lists AddEdge
+// would, but carved from one backing array instead of grown one arc at
+// a time. Each list's
+// capacity ends at its own region, so a later AddEdge reallocates
+// rather than overwrite a neighbour.
+func (g *Graph) addEdges(edges [][2]int) {
+	n := g.N()
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	for _, e := range edges {
+		deg[e[0]]++
+		deg[n+e[1]]++
+	}
+	backing := make([]int, 2*len(edges))
+	for i, d := range deg {
+		if d == 0 {
+			continue
+		}
+		list := backing[:0:d]
+		backing = backing[d:]
+		if i < n {
+			g.succs[i] = list
+		} else {
+			g.preds[i-n] = list
+		}
+	}
+	for _, e := range edges {
+		g.succs[e[0]] = append(g.succs[e[0]], e[1])
+		g.preds[e[1]] = append(g.preds[e[1]], e[0])
+	}
+	for _, lists := range [2][][]int{g.succs, g.preds} {
+		for i, l := range lists {
+			slices.Sort(l)
+			lists[i] = slices.Compact(l)
+		}
+	}
 }
 
 func containsSorted(xs []int, x int) bool {

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,7 +11,8 @@ import (
 
 // graphJSON is the on-disk form of a Graph: the instance fields plus
 // an edge list. It extends the instance wire format, so a graph file
-// is an instance file with an "edges" array:
+// is an instance file with an "edges" array (reading goes through
+// model.Decoder and FromDoc):
 //
 //	{"m": 2, "tasks": [{"id":0,"p":4,"s":1}, ...], "edges": [[0,1], ...]}
 type graphJSON struct {
@@ -35,43 +37,60 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	return enc.Encode(gj)
 }
 
-// ReadGraphJSON decodes a task DAG from r and validates it (node
-// ranges, no self-loops, positive processing times, acyclicity).
-// Malformed edges are reported as errors, never panics — the format is
-// consumed by CLI tools fed untrusted files.
+// ReadGraphJSON decodes the first document of r as a task DAG and
+// validates it (see FromDoc); anything after that document is ignored.
 func ReadGraphJSON(r io.Reader) (*Graph, error) {
-	var gj graphJSON
-	if err := json.NewDecoder(r).Decode(&gj); err != nil {
+	var doc model.Doc
+	if err := model.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("dag: decoding graph: %w", err)
 	}
-	n := len(gj.Tasks)
-	// Same ID contract as ReadInstanceJSON: files with implicit IDs
+	return FromDoc(&doc)
+}
+
+// FromDoc builds a task DAG from a decoded document and validates it:
+// every edge is a [pred, succ] pair of node indexes in range and not a
+// self-loop, processing times are positive and the graph is acyclic.
+// Malformed edges are reported as errors, never panics — the format is
+// consumed by CLI tools and schedd fed untrusted input.
+func FromDoc(doc *model.Doc) (*Graph, error) {
+	if err := cmp.Or(doc.Err, doc.EdgeErr); err != nil {
+		return nil, fmt.Errorf("dag: decoding graph: %w", err)
+	}
+	n := len(doc.Tasks)
+	// Same ID contract as model.Doc.Instance: files with implicit IDs
 	// (all zero) are positional; any nonzero ID makes the file
 	// explicit, and every ID must then match its index — the edge list
 	// below refers to tasks by position, so a reordered file would
 	// otherwise decode into a silently wrong DAG.
 	implicit := true
-	for _, t := range gj.Tasks {
+	for _, t := range doc.Tasks {
 		if t.ID != 0 {
 			implicit = false
 			break
 		}
 	}
 	if !implicit {
-		for i, t := range gj.Tasks {
+		for i, t := range doc.Tasks {
 			if t.ID != i {
 				return nil, fmt.Errorf("dag: task %d has ID %d, want %d (edges are positional)", i, t.ID, i)
 			}
 		}
 	}
-	p := make([]model.Time, n)
-	s := make([]model.Mem, n)
-	for i, t := range gj.Tasks {
-		p[i] = t.P
-		s[i] = t.S
+	g := &Graph{
+		M:     doc.M,
+		P:     make([]model.Time, n),
+		S:     make([]model.Mem, n),
+		preds: make([][]int, n),
+		succs: make([][]int, n),
 	}
-	g := New(gj.M, p, s)
-	for k, e := range gj.Edges {
+	for i, t := range doc.Tasks {
+		g.P[i] = t.P
+		g.S[i] = t.S
+	}
+	for k, e := range doc.Edges {
+		if b := doc.BadEdge; b != nil && b.Index == k {
+			return nil, fmt.Errorf("dag: edge %d has %d endpoints, want 2", k, b.Len)
+		}
 		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n {
 			return nil, fmt.Errorf("dag: edge %d (%d -> %d) out of range [0, %d)", k, u, v, n)
@@ -79,8 +98,8 @@ func ReadGraphJSON(r io.Reader) (*Graph, error) {
 		if u == v {
 			return nil, fmt.Errorf("dag: edge %d is a self-loop on node %d", k, u)
 		}
-		g.AddEdge(u, v)
 	}
+	g.addEdges(doc.Edges)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

@@ -76,6 +76,32 @@ func TestReadGraphJSONErrors(t *testing.T) {
 	}
 }
 
+// TestReadGraphJSONEdgeArity: an edge must be exactly [pred, succ].
+// A reflective [2]int decode used to truncate or zero-fill the others
+// into a wrong DAG ([[1]] became 1 -> 0), a silently accepted one
+// ([[0,1,7]] became 0 -> 1) or a misleading self-loop ([[]]).
+func TestReadGraphJSONEdgeArity(t *testing.T) {
+	const tasks = `{"m":2,"tasks":[{"p":1,"s":0},{"p":1,"s":0},{"p":1,"s":0}],"edges":`
+	cases := map[string]string{
+		`[[1]]`:             "dag: edge 0 has 1 endpoints, want 2",
+		`[[0,1],[0,1,7]]`:   "dag: edge 1 has 3 endpoints, want 2",
+		`[[]]`:              "dag: edge 0 has 0 endpoints, want 2",
+		`[[0,2],null]`:      "dag: edge 1 has 0 endpoints, want 2",
+		`[[0,1],[2],[1,2]]`: "dag: edge 1 has 1 endpoints, want 2",
+	}
+	for edges, want := range cases {
+		_, err := ReadGraphJSON(strings.NewReader(tasks + edges + "}"))
+		if err == nil || err.Error() != want {
+			t.Errorf("edges %s: err = %v, want %q", edges, err, want)
+		}
+	}
+	// A null endpoint still leaves its slot unset, as it always has.
+	g, err := ReadGraphJSON(strings.NewReader(tasks + `[[null,1]]}`))
+	if err != nil || !g.HasEdge(0, 1) {
+		t.Errorf("[[null,1]]: err = %v, want the arc 0 -> 1", err)
+	}
+}
+
 // TestReadGraphJSONIDContract pins the ID semantics shared with
 // ReadInstanceJSON: all-zero IDs are positional, any nonzero ID makes
 // the file explicit and a reordered file is an error — the edge list

@@ -7,7 +7,8 @@ import (
 )
 
 // instanceJSON is the on-disk form of an Instance, kept separate from
-// the in-memory type so the wire format can stay stable.
+// the in-memory type so the wire format can stay stable. Reading goes
+// through the Decoder instead (decode.go).
 type instanceJSON struct {
 	M     int    `json:"m"`
 	Tasks []Task `json:"tasks"`
@@ -20,33 +21,14 @@ func (in *Instance) WriteJSON(w io.Writer) error {
 	return enc.Encode(instanceJSON{M: in.M, Tasks: in.Tasks})
 }
 
-// ReadInstanceJSON decodes an instance from r and validates it.
+// ReadInstanceJSON decodes the first document of r as an instance and
+// validates it; anything after that document is ignored.
 func ReadInstanceJSON(r io.Reader) (*Instance, error) {
-	var ij instanceJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&ij); err != nil {
+	var doc Doc
+	if err := NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("model: decoding instance: %w", err)
 	}
-	in := &Instance{M: ij.M, Tasks: ij.Tasks}
-	// Accept files with implicit IDs (all zero): renumber sequentially.
-	// Any nonzero ID makes the file explicit, and Validate then holds
-	// every ID to its index.
-	implicit := true
-	for _, t := range in.Tasks {
-		if t.ID != 0 {
-			implicit = false
-			break
-		}
-	}
-	if implicit {
-		for i := range in.Tasks {
-			in.Tasks[i].ID = i
-		}
-	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	return in, nil
+	return doc.Instance()
 }
 
 // scheduleJSON is the on-disk form of a Schedule.

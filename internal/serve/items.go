@@ -2,66 +2,44 @@ package serve
 
 // Decoding item streams. Both front ends accept the same documents —
 // an instance {"m","tasks"}, a task DAG {"m","tasks","edges"} (the
-// presence of "edges", even empty, selects the DAG kind), or an
+// presence of "edges", even empty or null, selects the DAG kind), or an
 // envelope {"source": "...", "item": {...}} naming its payload — and
 // the same two stream shapes: a stream of concatenated JSON values
 // (compact JSONL and indented documents alike) and a line-oriented
-// JSONL file where each bad line fails alone.
+// JSONL file of one document per line, where each bad line fails
+// alone. Both read through model.Decoder, the decoder every JSON item
+// input shares.
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"iter"
-	"strings"
+	"strconv"
 
 	"storagesched/internal/dag"
 	"storagesched/internal/engine"
 	"storagesched/internal/model"
 )
 
-// itemProbe sniffs a document's top-level keys to classify it without
-// committing to a decode: an envelope carries "item", a graph carries
-// "edges", anything else decodes as an instance.
-type itemProbe struct {
-	Source *string         `json:"source"`
-	Item   json.RawMessage `json:"item"`
-	Edges  json.RawMessage `json:"edges"`
-}
-
-// decodeOne turns one raw document into a batch item and its source
+// itemOf turns one decoded document into a batch item and its source
 // label; source is the default label used when the document is not an
-// envelope (or is one without a "source").
-func decodeOne(raw json.RawMessage, source string) (engine.BatchItem, string) {
-	var probe itemProbe
-	// A non-object document (array, number) fails below in the kind
-	// decoder with its real error; the probe only classifies.
-	_ = json.Unmarshal(raw, &probe)
-	if probe.Item != nil {
-		if probe.Source != nil && *probe.Source != "" {
-			source = *probe.Source
-		}
-		raw = probe.Item
-		probe = itemProbe{}
-		_ = json.Unmarshal(raw, &probe)
+// envelope (or is one without a non-empty "source"). The presence of
+// "edges" selects the DAG kind.
+func itemOf(doc *model.Doc, source string) (engine.BatchItem, string) {
+	if doc.Source != "" {
+		source = doc.Source
 	}
 	item := engine.BatchItem{}
-	if probe.Edges != nil {
-		g, err := dag.ReadGraphJSON(bytes.NewReader(raw))
-		if err != nil {
-			item.Err = fmt.Errorf("%s: %w", source, err)
-		} else {
-			item.Graph = g
-		}
-		return item, source
+	var err error
+	if doc.HasEdges {
+		item.Graph, err = dag.FromDoc(doc)
+	} else {
+		item.Instance, err = doc.Instance()
 	}
-	in, err := model.ReadInstanceJSON(bytes.NewReader(raw))
 	if err != nil {
 		item.Err = fmt.Errorf("%s: %w", source, err)
-	} else {
-		item.Instance = in
 	}
 	return item, source
 }
@@ -69,28 +47,29 @@ func decodeOne(raw json.RawMessage, source string) (engine.BatchItem, string) {
 // DecodeItems yields one item per JSON document decoded from r —
 // accepting compact JSONL, indented multi-line documents and envelopes
 // alike — labelling them "label:1", "label:2", ... unless an envelope
-// names its own source. c, when non-nil, is closed once the stream is
-// drained. A malformed document poisons the rest of the stream (there
-// is no line boundary to resynchronize on), so it is reported once as
-// a final error item and the stream ends; a document that parses but
-// fails item validation rides its error on the item and fails alone.
+// names its own source. Each item is yielded as soon as its document's
+// last byte has been read. c, when non-nil, is closed once the stream
+// is drained. A malformed document poisons the rest of the stream
+// (there is no line boundary to resynchronize on), so it is reported
+// once as a final error item and the stream ends; a document that
+// parses but fails item validation rides its error on the item and
+// fails alone.
 func DecodeItems(label string, r io.Reader, c io.Closer) iter.Seq2[engine.BatchItem, string] {
 	return func(yield func(engine.BatchItem, string) bool) {
 		if c != nil {
 			defer c.Close()
 		}
-		dec := json.NewDecoder(r)
+		dec := model.NewDecoder(r)
 		for k := 1; ; k++ {
-			var raw json.RawMessage
-			if err := dec.Decode(&raw); err != nil {
+			var doc model.Doc
+			source := label + ":" + strconv.Itoa(k)
+			if err := dec.DecodeItem(&doc); err != nil {
 				if err != io.EOF {
-					yield(engine.BatchItem{Err: fmt.Errorf("%s value %d: %w", label, k, err)},
-						fmt.Sprintf("%s:%d", label, k))
+					yield(engine.BatchItem{Err: fmt.Errorf("%s value %d: %w", label, k, err)}, source)
 				}
 				return
 			}
-			item, source := decodeOne(raw, fmt.Sprintf("%s:%d", label, k))
-			if !yield(item, source) {
+			if !yield(itemOf(&doc, source)) {
 				return
 			}
 		}
@@ -98,9 +77,10 @@ func DecodeItems(label string, r io.Reader, c io.Closer) iter.Seq2[engine.BatchI
 }
 
 // DecodeJSONLItems yields one item per non-empty line of r, closing c
-// (when non-nil) once the stream is drained. Unlike DecodeItems, a bad
-// line fails alone — the line boundary resynchronizes the stream — and
-// the remaining lines still sweep.
+// (when non-nil) once the stream is drained. Each line must hold
+// exactly one document. Unlike DecodeItems, a bad line fails alone —
+// the line boundary resynchronizes the stream — and the remaining
+// lines still sweep.
 func DecodeJSONLItems(label string, r io.Reader, c io.Closer) iter.Seq2[engine.BatchItem, string] {
 	return func(yield func(engine.BatchItem, string) bool) {
 		if c != nil {
@@ -111,11 +91,25 @@ func DecodeJSONLItems(label string, r io.Reader, c io.Closer) iter.Seq2[engine.B
 		lineNo := 0
 		for sc.Scan() {
 			lineNo++
-			text := strings.TrimSpace(sc.Text())
-			if text == "" {
+			text := bytes.TrimSpace(sc.Bytes())
+			if len(text) == 0 {
 				continue
 			}
-			item, source := decodeOne(json.RawMessage(text), fmt.Sprintf("%s:%d", label, lineNo))
+			source := label + ":" + strconv.Itoa(lineNo)
+			var doc model.Doc
+			dec := model.NewBytesDecoder(text)
+			err := dec.DecodeItem(&doc)
+			if err == nil {
+				err = dec.End()
+			}
+			var item engine.BatchItem
+			if err != nil {
+				// A line that is not one well-formed document fails
+				// as an undecodable instance, as it always has.
+				item.Err = fmt.Errorf("%s: model: decoding instance: %w", source, err)
+			} else {
+				item, source = itemOf(&doc, source)
+			}
 			if !yield(item, source) {
 				return
 			}

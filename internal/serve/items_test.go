@@ -74,19 +74,30 @@ func TestDecodeItemsPoisoning(t *testing.T) {
 // TestDecodeJSONLItemsIsolation: with line framing, a bad line fails
 // alone — subsequent lines still decode, and labels count physical
 // lines (blank lines skipped but counted).
+//
+// A line holds exactly one document: a second document or trailing
+// garbage on it fails that line alone, naming its line number, rather
+// than silently dropping what follows the first document.
 func TestDecodeJSONLItemsIsolation(t *testing.T) {
-	in := docInstA + "\n\n{broken\n" + docInstB + "\n"
+	in := docInstA + "\n\n{broken\n" + docInstB + "\n" +
+		docInstA + docInstB + "\n" + docInstA + " garbage\n" + docGraph + "\n"
 	items, sources := collect(DecodeJSONLItems("batch.jsonl", strings.NewReader(in), nil))
-	if len(items) != 3 {
-		t.Fatalf("%d items, want 3", len(items))
+	if len(items) != 6 {
+		t.Fatalf("%d items, want 6", len(items))
 	}
-	if items[0].Err != nil || items[2].Err != nil {
-		t.Errorf("good lines carried errors: %v, %v", items[0].Err, items[2].Err)
+	for _, i := range []int{0, 2, 5} {
+		if items[i].Err != nil {
+			t.Errorf("good line %s carried an error: %v", sources[i], items[i].Err)
+		}
 	}
-	if items[1].Err == nil {
-		t.Error("broken line decoded without error")
+	for _, i := range []int{1, 3, 4} {
+		if items[i].Err == nil {
+			t.Errorf("bad line %s decoded without error", sources[i])
+		} else if prefix := sources[i] + ": "; !strings.HasPrefix(items[i].Err.Error(), prefix) {
+			t.Errorf("bad line error %q does not name %s", items[i].Err, sources[i])
+		}
 	}
-	want := []string{"batch.jsonl:1", "batch.jsonl:3", "batch.jsonl:4"}
+	want := []string{"batch.jsonl:1", "batch.jsonl:3", "batch.jsonl:4", "batch.jsonl:5", "batch.jsonl:6", "batch.jsonl:7"}
 	for i, w := range want {
 		if sources[i] != w {
 			t.Errorf("source %d = %q, want %q", i, sources[i], w)

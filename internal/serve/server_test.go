@@ -215,7 +215,10 @@ func TestServeSweepRefine(t *testing.T) {
 }
 
 // heldSweep starts a sweep whose body stays open, so the request holds
-// its admission slot until release is called.
+// its admission slot until release is called. It returns once the
+// sweep's response has begun — the held sweep was admitted and
+// streamed its first line — so a request the caller sends next cannot
+// race it to the slot.
 func heldSweep(t *testing.T, url string, client string) (release func(), done chan error) {
 	t.Helper()
 	pr, pw := io.Pipe()
@@ -226,26 +229,28 @@ func heldSweep(t *testing.T, url string, client string) (release func(), done ch
 	if client != "" {
 		req.Header.Set("X-Client-ID", client)
 	}
-	started := make(chan struct{})
+	responding := make(chan error, 1)
 	done = make(chan error, 1)
 	go func() {
-		close(started)
 		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			done <- err
-			return
-		}
-		_, err = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 		if err == nil && resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
 			err = fmt.Errorf("status %d", resp.StatusCode)
+		}
+		responding <- err
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
 		}
 		done <- err
 	}()
-	<-started
 	// One decodable document, then hold the stream open.
 	if _, err := pw.Write([]byte(docInstA + "\n")); err != nil {
 		t.Fatal(err)
+	}
+	if err := <-responding; err != nil {
+		pw.Close()
+		t.Fatalf("held sweep: %v", err)
 	}
 	return func() { pw.Close() }, done
 }

@@ -38,7 +38,7 @@ func TestSweepBatchHelpCoversEveryFlag(t *testing.T) {
 	for _, name := range []string{
 		"-in", "-out", "-dmin", "-dmax", "-points", "-grid",
 		"-workers", "-pending", "-no-sbo", "-no-rls",
-		"-cache-dir", "-cache-mem", "-shards", "-shard-policy",
+		"-cache-dir", "-cache-mem",
 		"-refine", "-refine-gap", "-refine-max-points", "-stats",
 	} {
 		if !strings.Contains(help, "\n  "+name+" ") && !strings.Contains(help, "\n  "+name+"\n") {
@@ -49,19 +49,20 @@ func TestSweepBatchHelpCoversEveryFlag(t *testing.T) {
 
 // TestSweepBatchHelpTellsTheTruth: spot-check the usage strings that
 // have drifted before — -in must mention task DAGs and the stdin
-// stream shape, and the two flags that do not compose must both say
-// so.
+// stream shape — and check that no usage string still points at the
+// removed in-process sharding flags (sharding is `schedcli shard`).
 func TestSweepBatchHelpTellsTheTruth(t *testing.T) {
 	help := sweepBatchHelp(t)
 	for _, want := range []string{
-		"*.graph.json",                  // -in accepts DAG files
-		"stream of JSON documents",      // stdin is not line-framed JSONL only
-		"does not compose with -refine", // -shards
-		"does not compose with -shards", // -refine
+		"*.graph.json",             // -in accepts DAG files
+		"stream of JSON documents", // stdin is not line-framed JSONL only
 	} {
 		if !strings.Contains(help, want) {
 			t.Errorf("sweepbatch -h missing %q", want)
 		}
+	}
+	if strings.Contains(help, "-shard") {
+		t.Errorf("sweepbatch -h still mentions a -shard flag:\n%s", help)
 	}
 }
 
@@ -74,7 +75,7 @@ func TestReadmeDocumentsBatchFlags(t *testing.T) {
 	}
 	text := string(readme)
 	for _, name := range []string{
-		"-cache-dir", "-cache-mem", "-shards", "-shard-policy",
+		"-cache-dir", "-cache-mem",
 		"-refine", "-refine-gap", "-refine-max-points",
 	} {
 		if !strings.Contains(text, name) {

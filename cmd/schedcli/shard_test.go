@@ -43,35 +43,6 @@ func sweepDir(t *testing.T, dir string, extra ...string) (string, error) {
 	return buf.String(), err
 }
 
-// The CLI acceptance criterion: -shards K output is byte-identical to
-// the unsharded run for K ∈ {1, 2, 4}, under both policies, including
-// per-item error lines.
-func TestRunSweepBatchShardedMatchesUnsharded(t *testing.T) {
-	dir := mixedDir(t, true)
-	want, wantErr := sweepDir(t, dir)
-	if wantErr == nil {
-		t.Fatal("unsharded run with a broken file reported success")
-	}
-	for _, policy := range []string{"rr", "hash"} {
-		for _, k := range []string{"1", "2", "4"} {
-			got, gotErr := sweepDir(t, dir, "-shards", k, "-shard-policy", policy)
-			if got != want {
-				t.Errorf("policy=%s shards=%s: output differs from unsharded\ngot:\n%s\nwant:\n%s", policy, k, got, want)
-			}
-			if gotErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Errorf("policy=%s shards=%s: err %v, want %v", policy, k, gotErr, wantErr)
-			}
-		}
-	}
-}
-
-func TestRunSweepBatchShardedRejectsBadPolicy(t *testing.T) {
-	dir := writeInstanceDir(t, 1)
-	if _, err := sweepDir(t, dir, "-shards", "2", "-shard-policy", "bogus"); err == nil {
-		t.Error("bogus shard policy accepted")
-	}
-}
-
 // Cold and warm cache runs are byte-identical, entries land on disk,
 // and a corrupt entry heals transparently.
 func TestRunSweepBatchCacheColdWarmByteIdentical(t *testing.T) {
@@ -112,27 +83,75 @@ func TestRunSweepBatchCacheColdWarmByteIdentical(t *testing.T) {
 }
 
 // The cluster flow by hand: plan a directory, sweep each shard list as
-// its own runSweepBatch call, merge — byte-identical to unsharded.
+// its own runSweepBatch call, merge — byte-identical to unsharded for
+// K ∈ {1, 2, 4} under both policies, including the broken file's
+// per-item error line.
 func TestShardPlanSweepMergeRoundTrip(t *testing.T) {
-	dir := mixedDir(t, false)
-	want, err := sweepDir(t, dir)
-	if err != nil {
-		t.Fatal(err)
+	dir := mixedDir(t, true)
+	want, wantErr := sweepDir(t, dir)
+	if wantErr == nil {
+		t.Fatal("unsharded run with a broken file reported success")
 	}
+	for _, policy := range []string{"rr", "hash"} {
+		for _, k := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/k=%d", policy, k), func(t *testing.T) {
+				planDir := t.TempDir()
+				var planOut strings.Builder
+				err := runShard([]string{"plan", "-in", dir, "-shards", fmt.Sprint(k), "-policy", policy, "-out-dir", planDir}, &planOut)
+				if err != nil {
+					t.Fatalf("plan: %v", err)
+				}
+				for _, wantLine := range []string{fmt.Sprintf("planned 7 items onto %d shards (%s)", k, policy), "plan.json"} {
+					if !strings.Contains(planOut.String(), wantLine) {
+						t.Errorf("plan output missing %q:\n%s", wantLine, planOut.String())
+					}
+				}
+				if policy == "hash" {
+					checkDuplicateShared(t, filepath.Join(planDir, "plan.json"))
+				}
 
-	planDir := t.TempDir()
-	var planOut strings.Builder
-	if err := runShard([]string{"plan", "-in", dir, "-shards", "3", "-policy", "hash", "-out-dir", planDir}, &planOut); err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	for _, wantLine := range []string{"planned 6 items onto 3 shards", "plan.json"} {
-		if !strings.Contains(planOut.String(), wantLine) {
-			t.Errorf("plan output missing %q:\n%s", wantLine, planOut.String())
+				// Sweep each shard list separately, as subprocesses
+				// would; the shard holding the broken file reports it.
+				var shardFiles []string
+				failed := 0
+				for s := 0; s < k; s++ {
+					list := filepath.Join(planDir, fmt.Sprintf("shard-%d.list", s))
+					var buf strings.Builder
+					if err := runSweepBatch([]string{"-in", list, "-dmin", "0.5", "-dmax", "8", "-points", "6"}, nil, &buf); err != nil {
+						failed++
+					}
+					out := filepath.Join(planDir, fmt.Sprintf("shard-%d.jsonl", s))
+					if err := os.WriteFile(out, []byte(buf.String()), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					shardFiles = append(shardFiles, out)
+				}
+				if failed != 1 {
+					t.Errorf("%d shard sweeps failed, want exactly the broken file's", failed)
+				}
+
+				merged := filepath.Join(planDir, "merged.jsonl")
+				args := append([]string{"merge", "-plan", filepath.Join(planDir, "plan.json"), "-out", merged}, shardFiles...)
+				if err := runShard(args, io.Discard); err == nil || !strings.Contains(err.Error(), "1 of 7 items failed") {
+					t.Errorf("merge: err = %v, want the merged per-item failure summary", err)
+				}
+				got, err := os.ReadFile(merged)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != want {
+					t.Errorf("merged output differs from unsharded:\ngot:\n%s\nwant:\n%s", got, want)
+				}
+			})
 		}
 	}
+}
 
-	// The duplicate instance shares a shard with its original.
-	planBytes, err := os.ReadFile(filepath.Join(planDir, "plan.json"))
+// checkDuplicateShared asserts the hash-affine plan put the duplicate
+// instance on its original's shard.
+func checkDuplicateShared(t *testing.T, planPath string) {
+	t.Helper()
+	planBytes, err := os.ReadFile(planPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,35 +169,6 @@ func TestShardPlanSweepMergeRoundTrip(t *testing.T) {
 	}
 	if shardOf("inst00.json") != shardOf("zdup00.json") {
 		t.Error("hash-affine plan split identical items across shards")
-	}
-
-	// Sweep each shard list separately, as subprocesses would.
-	var shardFiles []string
-	for s := 0; s < 3; s++ {
-		list := filepath.Join(planDir, fmt.Sprintf("shard-%d.list", s))
-		var buf strings.Builder
-		if err := runSweepBatch([]string{"-in", list, "-dmin", "0.5", "-dmax", "8", "-points", "6"}, nil, &buf); err != nil {
-			t.Fatalf("shard %d sweep: %v", s, err)
-		}
-		out := filepath.Join(planDir, fmt.Sprintf("shard-%d.jsonl", s))
-		if err := os.WriteFile(out, []byte(buf.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		shardFiles = append(shardFiles, out)
-	}
-
-	merged := filepath.Join(planDir, "merged.jsonl")
-	args := append([]string{"merge", "-plan", filepath.Join(planDir, "plan.json"), "-out", merged}, shardFiles...)
-	var mergeOut strings.Builder
-	if err := runShard(args, &mergeOut); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	got, err := os.ReadFile(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != want {
-		t.Errorf("merged output differs from unsharded:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -239,6 +229,9 @@ func TestShardRejectsBadInputs(t *testing.T) {
 		t.Error("merge without -plan accepted")
 	}
 	dir := writeInstanceDir(t, 2)
+	if err := runShard([]string{"plan", "-in", dir, "-policy", "bogus", "-out-dir", t.TempDir()}, io.Discard); err == nil {
+		t.Error("plan with a bogus placement policy accepted")
+	}
 	planDir := t.TempDir()
 	if err := runShard([]string{"plan", "-in", dir, "-shards", "2", "-out-dir", planDir}, os.Stdout); err != nil {
 		t.Fatal(err)

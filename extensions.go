@@ -1,7 +1,7 @@
 package storagesched
 
 // Facade over the extension subsystems: uniform (related) machines,
-// conditional task graphs, approximate Pareto-set generation, the
+// conditional task graphs, front-quality scoring, the
 // discrete-event simulator and CSV trace interchange. These implement
 // the future-work directions of the paper's concluding remarks; the
 // derived guarantees are documented in the respective internal
@@ -13,7 +13,7 @@ import (
 
 	"storagesched/internal/condgraph"
 	"storagesched/internal/dag"
-	"storagesched/internal/paretogen"
+	"storagesched/internal/pareto"
 	"storagesched/internal/sim"
 	"storagesched/internal/trace"
 	"storagesched/internal/uniform"
@@ -79,24 +79,11 @@ func InducedGraph(cg *CondGraph, sc CondScenario) (*Graph, []int) {
 	return g, orig
 }
 
-// Approximate Pareto-set generation.
-type (
-	// FrontPoint is one generated tradeoff schedule with provenance.
-	FrontPoint = paretogen.Point
-	// FrontOptions shape the delta sweep.
-	FrontOptions = paretogen.Options
-)
-
-// GenerateFront sweeps ∆ across SBO/RLS (plus optional constrained
-// probes) and returns the non-dominated schedules found.
-func GenerateFront(in *Instance, opts FrontOptions) ([]FrontPoint, error) {
-	return paretogen.Generate(in, opts)
-}
-
-// FrontEpsilon measures how closely a generated front covers a
-// reference front (0 = full coverage).
+// FrontEpsilon measures how closely a generated front — for example a
+// Sweep's FrontValues — covers a reference front such as the exact
+// ParetoFront (0 = full coverage).
 func FrontEpsilon(generated, reference []Value) float64 {
-	return paretogen.EpsilonIndicator(generated, reference)
+	return pareto.EpsilonIndicator(generated, reference)
 }
 
 // Discrete-event simulation.

@@ -2,6 +2,7 @@ package storagesched
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -52,16 +53,17 @@ func TestFacadeCondGraph(t *testing.T) {
 
 func TestFacadeGenerateFront(t *testing.T) {
 	in := GenUniform(12, 3, 5)
-	pts, err := GenerateFront(in, FrontOptions{Steps: 8, IncludeRLS: true})
+	grid, err := SweepGeometricGrid(1.0/32, 32, 9)
 	if err != nil {
-		t.Fatalf("GenerateFront: %v", err)
+		t.Fatal(err)
 	}
-	if len(pts) == 0 {
+	res, err := Sweep(context.Background(), in, SweepConfig{Deltas: grid})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	vals := res.FrontValues()
+	if len(vals) == 0 {
 		t.Fatal("empty front")
-	}
-	var vals []Value
-	for _, p := range pts {
-		vals = append(vals, p.Value)
 	}
 	if eps := FrontEpsilon(vals, vals); eps != 0 {
 		t.Errorf("self epsilon = %g", eps)

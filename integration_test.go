@@ -5,6 +5,7 @@ package storagesched
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -148,31 +149,36 @@ func TestIntegrationOnlinePipeline(t *testing.T) {
 // small instance within the sweep envelope.
 func TestIntegrationGeneratedFrontPipeline(t *testing.T) {
 	in := GenUniform(9, 3, 21)
-	approx, err := GenerateFront(in, FrontOptions{Steps: 16, IncludeRLS: true, ConstrainedProbes: 4})
+	grid, err := SweepGeometricGrid(1.0/32, 32, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(approx) == 0 {
+	res, err := Sweep(context.Background(), in, SweepConfig{Deltas: grid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Front) == 0 {
 		t.Fatal("empty generated front")
 	}
-	for _, p := range approx {
-		sc := ScheduleFromAssignment(in, p.Assignment)
-		if _, err := ReplaySchedule(sc, nil, 0); err != nil {
+	for _, p := range res.Front {
+		sc := ScheduleFromAssignment(in, res.Runs[p.RunIndex].Assignment)
+		rep, err := ReplaySchedule(sc, nil, 0)
+		if err != nil {
 			t.Fatalf("witness replay: %v", err)
+		}
+		if rep.Cmax != p.Value.Cmax || rep.Mmax != p.Value.Mmax {
+			t.Errorf("witness replays to (%d,%d), front point is %v", rep.Cmax, rep.Mmax, p.Value)
 		}
 	}
 	exact, err := ParetoFront(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var exactVals, approxVals []Value
+	var exactVals []Value
 	for _, p := range exact {
 		exactVals = append(exactVals, p.Value)
 	}
-	for _, p := range approx {
-		approxVals = append(approxVals, p.Value)
-	}
-	if eps := FrontEpsilon(approxVals, exactVals); eps > 0.75 {
+	if eps := FrontEpsilon(res.FrontValues(), exactVals); eps > 0.75 {
 		t.Errorf("front epsilon %.3f beyond the sweep envelope", eps)
 	}
 }

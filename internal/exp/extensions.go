@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -8,10 +9,10 @@ import (
 	"storagesched/internal/bounds"
 	"storagesched/internal/condgraph"
 	"storagesched/internal/core"
+	"storagesched/internal/engine"
 	"storagesched/internal/gen"
 	"storagesched/internal/model"
 	"storagesched/internal/pareto"
-	"storagesched/internal/paretogen"
 	"storagesched/internal/sim"
 	"storagesched/internal/stats"
 	"storagesched/internal/uniform"
@@ -49,8 +50,40 @@ func init() {
 	})
 }
 
+// sweepFront runs one engine sweep of in and returns its front values.
+// With probes > 0 it then asks the Section 7 search
+// (core.ConstrainedIndependent) for the best Cmax under that many
+// memory budgets spaced evenly between the front's Mmax extremes, and
+// keeps the non-dominated union. Infeasible or uncertified probes are
+// skipped.
+func sweepFront(in *model.Instance, cfg engine.Config, probes int) ([]model.Value, error) {
+	cfg.Workers = sweepWorkers
+	res, err := engine.Sweep(context.Background(), in, cfg)
+	if err != nil {
+		return nil, err
+	}
+	vals := res.FrontValues()
+	if probes <= 0 || len(vals) == 0 {
+		return vals, nil
+	}
+	// The front is sorted by Cmax, hence by decreasing Mmax.
+	lo, hi := vals[len(vals)-1].Mmax, vals[0].Mmax
+	for i := 1; i <= probes; i++ {
+		budget := lo + model.Mem(float64(i)/float64(probes+1)*float64(hi-lo))
+		if _, v, err := core.ConstrainedIndependent(in, budget); err == nil {
+			vals = append(vals, v)
+		}
+	}
+	return pareto.FilterDominated(vals), nil
+}
+
 func runExt1(w io.Writer) error {
 	rng := rand.New(rand.NewSource(5))
+	// 33 geometric points over [1/32, 32]: ratio 2^(5/16) per step.
+	grid, err := engine.GeometricGrid(1.0/32, 32, 33)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "small instances (n<=10): epsilon-indicator of the generated front vs the exact front\n\n")
 	fmt.Fprintf(w, "%-6s %6s %8s %10s %12s\n", "seed", "n", "exact", "generated", "epsilon")
 	accEps := stats.NewAcc(true)
@@ -68,11 +101,11 @@ func runExt1(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		approx, err := paretogen.Generate(in, paretogen.Options{Steps: 32, IncludeRLS: true, ConstrainedProbes: 6})
+		approx, err := sweepFront(in, engine.Config{Deltas: grid}, 6)
 		if err != nil {
 			return err
 		}
-		eps := paretogen.EpsilonIndicator(paretogen.Values(approx), pareto.Values(exact))
+		eps := pareto.EpsilonIndicator(approx, pareto.Values(exact))
 		accEps.Add(eps)
 		fmt.Fprintf(w, "%-6d %6d %8d %10d %12.4f\n", trial, n, len(exact), len(approx), eps)
 	}
@@ -86,25 +119,29 @@ func runExt1(w io.Writer) error {
 	}
 
 	// Hypervolume comparison of sweep configurations on a larger
-	// instance (reference = 2x lower bounds).
+	// instance (reference = 3x lower bounds).
+	if grid, err = engine.GeometricGrid(1.0/32, 32, 25); err != nil {
+		return err
+	}
 	in := gen.Anticorrelated(80, 8, 11)
 	rec := bounds.ForInstance(in)
 	refC, refM := 3*rec.CmaxLB, 3*rec.MmaxLB
 	fmt.Fprintf(w, "\nhypervolume on anticorrelated n=80 m=8 (higher = better front):\n")
-	for _, cfg := range []struct {
-		name string
-		opts paretogen.Options
+	for _, c := range []struct {
+		name   string
+		cfg    engine.Config
+		probes int
 	}{
-		{"SBO only", paretogen.Options{Steps: 24}},
-		{"SBO+RLS", paretogen.Options{Steps: 24, IncludeRLS: true}},
-		{"SBO+RLS+constrained", paretogen.Options{Steps: 24, IncludeRLS: true, ConstrainedProbes: 8}},
+		{"SBO only", engine.Config{Deltas: grid, SkipRLS: true}, 0},
+		{"SBO+RLS", engine.Config{Deltas: grid}, 0},
+		{"SBO+RLS+constrained", engine.Config{Deltas: grid}, 8},
 	} {
-		pts, err := paretogen.Generate(in, cfg.opts)
+		front, err := sweepFront(in, c.cfg, c.probes)
 		if err != nil {
 			return err
 		}
-		hv := paretogen.Hypervolume(paretogen.Values(pts), refC, refM)
-		fmt.Fprintf(w, "  %-22s %3d points  hypervolume %.3e\n", cfg.name, len(pts), hv)
+		hv := pareto.Hypervolume(front, refC, refM)
+		fmt.Fprintf(w, "  %-22s %3d points  hypervolume %.3e\n", c.name, len(front), hv)
 	}
 	return nil
 }

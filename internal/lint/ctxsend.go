@@ -11,11 +11,10 @@ import (
 var ctxSendPkgs = []string{
 	"storagesched/internal/engine",
 	"storagesched/internal/serve",
-	"storagesched/internal/shard",
 }
 
 // CtxSend requires every channel send inside a goroutine of the
-// engine/serve/shard packages to sit in a select with a ctx.Done()
+// engine/serve packages to sit in a select with a ctx.Done()
 // (or a default) case. The disconnect tests hunt this leak class
 // dynamically — a client that goes away mid-stream must not strand a
 // producer goroutine parked on `order <- st` forever — but a test only

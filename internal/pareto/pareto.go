@@ -4,11 +4,14 @@
 // fronts of three instance families; this package recomputes those
 // fronts mechanically (branch-and-bound over assignments with
 // machine-symmetry and dominance pruning) so Figures 1 and 2 and
-// Lemmas 1–3 can be verified rather than transcribed.
+// Lemmas 1–3 can be verified rather than transcribed. EpsilonIndicator
+// and Hypervolume score the approximate fronts of δ-sweeps against
+// those exact fronts.
 package pareto
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"storagesched/internal/model"
@@ -266,4 +269,58 @@ func SameFront(a, b []model.Value) bool {
 		}
 	}
 	return true
+}
+
+// EpsilonIndicator measures approximation quality against a reference
+// front: the smallest ε such that for every reference value r some
+// generated value g satisfies g.Cmax ≤ (1+ε)·r.Cmax and
+// g.Mmax ≤ (1+ε)·r.Mmax. Zero means the generated set weakly
+// dominates the whole reference front.
+func EpsilonIndicator(generated, reference []model.Value) float64 {
+	if len(reference) == 0 {
+		return 0
+	}
+	if len(generated) == 0 {
+		return math.Inf(1)
+	}
+	worst := 0.0
+	for _, r := range reference {
+		best := math.Inf(1)
+		for _, g := range generated {
+			e := 0.0
+			if r.Cmax > 0 {
+				e = math.Max(e, float64(g.Cmax)/float64(r.Cmax)-1)
+			} else if g.Cmax > 0 {
+				e = math.Inf(1)
+			}
+			if r.Mmax > 0 {
+				e = math.Max(e, float64(g.Mmax)/float64(r.Mmax)-1)
+			} else if g.Mmax > 0 {
+				e = math.Inf(1)
+			}
+			best = math.Min(best, e)
+		}
+		worst = math.Max(worst, best)
+	}
+	return worst
+}
+
+// Hypervolume returns the area of the objective-space region dominated
+// by the front, relative to a reference (nadir) point. Larger is
+// better; it compares the fronts of different sweep configurations.
+func Hypervolume(front []model.Value, refC model.Time, refM model.Mem) float64 {
+	pts := append([]model.Value(nil), front...)
+	sort.Slice(pts, func(a, b int) bool { return pts[a].Cmax < pts[b].Cmax })
+	area := 0.0
+	prevM := refM
+	for _, p := range pts {
+		if p.Cmax > refC || p.Mmax > refM {
+			continue
+		}
+		if p.Mmax < prevM {
+			area += float64(refC-p.Cmax) * float64(prevM-p.Mmax)
+			prevM = p.Mmax
+		}
+	}
+	return area
 }

@@ -1,6 +1,7 @@
 package pareto
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -85,6 +86,40 @@ func TestFilterDominated(t *testing.T) {
 	want := []model.Value{{Cmax: 1, Mmax: 5}, {Cmax: 2, Mmax: 3}, {Cmax: 4, Mmax: 1}}
 	if !SameFront(got, want) {
 		t.Errorf("FilterDominated = %v, want %v", got, want)
+	}
+}
+
+func TestEpsilonIndicator(t *testing.T) {
+	ref := []model.Value{{Cmax: 10, Mmax: 20}, {Cmax: 20, Mmax: 10}}
+	// The reference itself: epsilon 0.
+	if e := EpsilonIndicator(ref, ref); e != 0 {
+		t.Errorf("self indicator = %g, want 0", e)
+	}
+	// 10% worse everywhere.
+	gend := []model.Value{{Cmax: 11, Mmax: 22}, {Cmax: 22, Mmax: 11}}
+	if e := EpsilonIndicator(gend, ref); math.Abs(e-0.1) > 1e-9 {
+		t.Errorf("indicator = %g, want 0.1", e)
+	}
+	// Empty generated set.
+	if e := EpsilonIndicator(nil, ref); !math.IsInf(e, 1) {
+		t.Errorf("empty generated: %g, want +Inf", e)
+	}
+	// Empty reference: trivially zero.
+	if e := EpsilonIndicator(gend, nil); e != 0 {
+		t.Errorf("empty reference: %g, want 0", e)
+	}
+}
+
+func TestHypervolume(t *testing.T) {
+	front := []model.Value{{Cmax: 1, Mmax: 3}, {Cmax: 2, Mmax: 1}}
+	// Reference (4, 4): point (1,3) adds (4-1)*(4-3)=3; point (2,1)
+	// adds (4-2)*(3-1)=4. Total 7.
+	if hv := Hypervolume(front, 4, 4); hv != 7 {
+		t.Errorf("hypervolume = %g, want 7", hv)
+	}
+	// Points beyond the reference contribute nothing.
+	if hv := Hypervolume([]model.Value{{Cmax: 9, Mmax: 9}}, 4, 4); hv != 0 {
+		t.Errorf("out-of-range hypervolume = %g, want 0", hv)
 	}
 }
 

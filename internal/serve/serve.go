@@ -9,8 +9,8 @@
 // engine.Pool (the daemon keeps one for its whole lifetime; the CLI
 // runs per-call pools) and an optional content-addressed front cache.
 // A SweepSpec carries what varies per sweep: the δ-grid, family
-// selection, streaming window, adaptive-refinement and sharding
-// parameters. Session.Sweep executes one spec over one item stream and
+// selection, streaming window and adaptive-refinement parameters.
+// Session.Sweep executes one spec over one item stream and
 // writes the JSONL fronts to an io.Writer, in input order.
 //
 // Server (server.go) wraps a Session with the HTTP/JSONL API —
@@ -29,7 +29,6 @@ import (
 	"storagesched/internal/engine"
 	"storagesched/internal/metrics"
 	"storagesched/internal/refine"
-	"storagesched/internal/shard"
 )
 
 // SessionConfig parameterizes a Session.
@@ -137,32 +136,13 @@ type SweepSpec struct {
 
 	// Refine enables the adaptive two-pass pipeline: a coarse sweep at
 	// Deltas, then targeted re-sweeps of the δ-intervals where each
-	// front's relative gap exceeds RefineGap. Does not compose with
-	// Shards > 1.
+	// front's relative gap exceeds RefineGap.
 	Refine bool
 
 	// RefineGap and RefineMaxPoints parameterize refinement; zero
 	// values resolve to refine.DefaultGap / refine.DefaultMaxPoints.
 	RefineGap       float64
 	RefineMaxPoints int
-
-	// Shards > 1 runs the batch as K deterministic in-process shards
-	// merged back into input order (byte-identical to an unsharded
-	// run). Shard pools are private per shard — a resident session
-	// pool is not used on this path.
-	Shards int
-
-	// ShardPolicy places items on shards when Shards > 1.
-	ShardPolicy shard.Policy
-}
-
-// Validate reports whether the spec is executable; front ends call it
-// early so flag and query errors surface before any work runs.
-func (sp SweepSpec) Validate() error {
-	if sp.Refine && sp.Shards > 1 {
-		return fmt.Errorf("-refine runs the batch through the two-pass adaptive pipeline and does not compose with -shards")
-	}
-	return nil
 }
 
 // BuildGrid resolves a named grid spacing ("geo" | "lin") over
@@ -202,9 +182,6 @@ type Stats struct {
 // metadata.
 func (s *Session) Sweep(ctx context.Context, items iter.Seq2[engine.BatchItem, string], spec SweepSpec, w io.Writer) (Stats, error) {
 	var st Stats
-	if err := spec.Validate(); err != nil {
-		return st, err
-	}
 	s.met.sweepStarted()
 	t0 := s.met.clockStart()
 	bcfg := engine.BatchConfig{
@@ -223,28 +200,13 @@ func (s *Session) Sweep(ctx context.Context, items iter.Seq2[engine.BatchItem, s
 	emit := frontLineEmitter(w, &st)
 
 	var err error
-	switch {
-	case spec.Shards > 1:
-		// Sharded: materialize the stream, place items
-		// deterministically and run one private pool per shard;
-		// results merge back in input order, so the output is
-		// byte-identical to an unsharded run.
-		var all []engine.BatchItem
-		tagged(func(it engine.BatchItem) bool { all = append(all, it); return true })
-		var plan *shard.Plan
-		plan, err = shard.NewPlan(spec.Shards, spec.ShardPolicy, all)
-		if err != nil {
-			return st, err
-		}
-		bcfg.Pool = nil
-		err = shard.Run(ctx, all, plan, bcfg, emit)
-	case spec.Refine:
+	if spec.Refine {
 		// Adaptive: a coarse pass at the configured grid, then a
 		// refinement pass targeting each front's bends; one merged
 		// front per line, still in input order.
 		rcfg := refine.Config{Gap: spec.RefineGap, MaxPoints: spec.RefineMaxPoints}
 		err = refine.SweepBatchAdaptive(ctx, tagged, bcfg, rcfg, emit)
-	default:
+	} else {
 		err = engine.SweepBatch(ctx, tagged, bcfg, emit)
 	}
 	s.met.sweepDone(st, err, t0)

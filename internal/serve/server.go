@@ -17,18 +17,20 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"math"
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"storagesched/internal/metrics"
 	"storagesched/internal/refine"
-	"storagesched/internal/shard"
 )
 
 // Default admission limits (see ServerConfig).
@@ -308,13 +310,30 @@ func (s *Server) reject(w http.ResponseWriter, reason error) {
 	http.Error(w, reason.Error(), http.StatusTooManyRequests)
 }
 
+// maxQueryPoints caps the grid sizes a /v1/sweep query may ask for
+// (points and refine-max-points). The grid is built before admission,
+// so an unchecked count would allocate on behalf of a request that
+// may never be admitted.
+const maxQueryPoints = 4096
+
+// sweepParams is the closed set of /v1/sweep query parameter names; a
+// request naming any other is refused rather than silently run with
+// defaults.
+var sweepParams = []string{"dmin", "dmax", "points", "grid", "no-sbo", "no-rls",
+	"pending", "refine", "refine-gap", "refine-max-points"}
+
 // sweepSpecFromQuery builds the SweepSpec from /v1/sweep query
 // parameters. The names and defaults mirror the schedcli sweepbatch
-// flags one for one (dmin, dmax, points, grid, no-sbo, no-rls,
-// pending, refine, refine-gap, refine-max-points, shards,
-// shard-policy); docs/API.md is the reference.
+// flags one for one (see sweepParams); docs/API.md is the reference.
+// Unknown names and grid sizes above maxQueryPoints are errors, both
+// reported before any grid is allocated.
 func sweepSpecFromQuery(q url.Values) (SweepSpec, error) {
 	var spec SweepSpec
+	for _, name := range slices.Sorted(maps.Keys(q)) {
+		if !slices.Contains(sweepParams, name) {
+			return spec, fmt.Errorf("unknown query parameter %q (want one of %s)", name, strings.Join(sweepParams, ", "))
+		}
+	}
 	dmin, err := floatParam(q, "dmin", 0.25)
 	if err != nil {
 		return spec, err
@@ -323,7 +342,7 @@ func sweepSpecFromQuery(q url.Values) (SweepSpec, error) {
 	if err != nil {
 		return spec, err
 	}
-	points, err := intParam(q, "points", 32)
+	points, err := pointsParam(q, "points", 32)
 	if err != nil {
 		return spec, err
 	}
@@ -349,20 +368,10 @@ func sweepSpecFromQuery(q url.Values) (SweepSpec, error) {
 	if spec.RefineGap, err = floatParam(q, "refine-gap", refine.DefaultGap); err != nil {
 		return spec, err
 	}
-	if spec.RefineMaxPoints, err = intParam(q, "refine-max-points", refine.DefaultMaxPoints); err != nil {
+	if spec.RefineMaxPoints, err = pointsParam(q, "refine-max-points", refine.DefaultMaxPoints); err != nil {
 		return spec, err
 	}
-	if spec.Shards, err = intParam(q, "shards", 1); err != nil {
-		return spec, err
-	}
-	policy := q.Get("shard-policy")
-	if policy == "" {
-		policy = "hash"
-	}
-	if spec.ShardPolicy, err = shard.ParsePolicy(policy); err != nil {
-		return spec, err
-	}
-	return spec, spec.Validate()
+	return spec, nil
 }
 
 func floatParam(q url.Values, name string, def float64) (float64, error) {
@@ -387,6 +396,16 @@ func intParam(q url.Values, name string, def int) (int, error) {
 		return 0, fmt.Errorf("query parameter %s=%q: not an integer", name, v)
 	}
 	return n, nil
+}
+
+// pointsParam is intParam for a grid size, refused above
+// maxQueryPoints.
+func pointsParam(q url.Values, name string, def int) (int, error) {
+	n, err := intParam(q, name, def)
+	if err == nil && n > maxQueryPoints {
+		err = fmt.Errorf("query parameter %s=%d: above the limit of %d grid points", name, n, maxQueryPoints)
+	}
+	return n, err
 }
 
 func boolParam(q url.Values, name string) (bool, error) {

@@ -161,21 +161,27 @@ func TestServeSweepWarmCache(t *testing.T) {
 // parameter combinations are 400s before any work runs.
 func TestServeSweepBadRequest(t *testing.T) {
 	_, _, srv := newTestServer(t, SessionConfig{}, ServerConfig{})
-	for _, q := range []string{
-		"points=three",
-		"dmin=low",
-		"grid=spiral",
-		"refine=maybe",
-		"refine=1&shards=2",
-		"shard-policy=alphabetical",
+	for _, c := range []struct{ q, want string }{
+		{"points=three", "not an integer"},
+		{"dmin=low", "not a number"},
+		{"grid=spiral", "unknown grid spacing"},
+		{"refine=maybe", "not a boolean"},
+		// Grid sizes are capped before the grid is allocated.
+		{"points=4097", "points=4097: above the limit of 4096"},
+		{"refine=1&refine-max-points=1000000000", "refine-max-points=1000000000: above the limit"},
+		// Unknown names are refused, not silently defaulted.
+		{"point=8", `unknown query parameter "point"`},
+		{"shards=2", `unknown query parameter "shards"`},
+		{"refine=1&shard-policy=rr", `unknown query parameter "shard-policy"`},
 	} {
-		resp, err := http.Post(srv.URL+"/v1/sweep?"+q, "application/jsonl", strings.NewReader(testBody()))
+		resp, err := http.Post(srv.URL+"/v1/sweep?"+c.q, "application/jsonl", strings.NewReader(testBody()))
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("query %q: status %d, want 400", q, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Errorf("query %q: status %d body %q, want 400 naming %q", c.q, resp.StatusCode, body, c.want)
 		}
 	}
 }

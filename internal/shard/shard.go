@@ -1,9 +1,8 @@
 // Package shard coordinates cluster-scale sweeps: it splits a batch of
-// work items into K deterministic shards, runs each shard through its
-// own engine.SweepBatch pool — in this process or in subprocesses
-// driving `schedcli sweepbatch` — and merges the per-shard outputs
-// back into input order, so a sharded run is byte-identical to an
-// unsharded one.
+// work items into K deterministic shards, each swept on its own — by a
+// `schedcli sweepbatch` process per shard, or by one engine.SweepBatch
+// per Locals slice — and merges the per-shard JSONL outputs back into
+// input order, so a sharded run is byte-identical to an unsharded one.
 //
 // Two placement policies exist. RoundRobin deals items out cyclically,
 // balancing counts. HashAffine places items by their content hash
@@ -15,18 +14,15 @@
 // deterministic, the item at global position g lives at a known
 // position of a known shard, and each shard emits its slice in order.
 // Merging is therefore a sequential walk of the plan, pulling the next
-// result from the owning shard — no reorder buffer beyond each
-// shard's bounded channel.
+// line from the owning shard's output.
 package shard
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"storagesched/internal/cache"
 	"storagesched/internal/engine"
@@ -119,8 +115,8 @@ func NewPlan(k int, policy Policy, items []engine.BatchItem) (*Plan, error) {
 }
 
 // Validate checks the plan's internal consistency: K is at least 1
-// and every placement is a shard in [0, K). Run, MergeJSONL and the
-// CLI's plan reader all validate before indexing by placement, so a
+// and every placement is a shard in [0, K). MergeJSONL and the CLI's
+// plan reader both validate before indexing by placement, so a
 // hand-edited or corrupted plan file reports a clean error instead of
 // panicking inside Locals.
 func (p *Plan) Validate() error {
@@ -156,117 +152,6 @@ func (p *Plan) Locals() [][]int {
 		locals[s] = append(locals[s], g)
 	}
 	return locals
-}
-
-// Run executes the plan in-process: one engine.SweepBatch pool per
-// shard, all running concurrently, with results merged back into
-// global input order and streamed to emit (sequentially, like
-// SweepBatch itself). Emitted BatchResult.Index values are global.
-// cfg applies to every shard — in particular cfg.Workers sizes each
-// shard's pool, so total parallelism is K × workers.
-//
-// A shard that runs ahead of the merge blocks on its bounded channel,
-// so memory stays O(K × window) however many items the plan covers.
-// Per-item failures flow through as BatchResult.Err exactly as in an
-// unsharded batch; a shard-level failure (or an emit error) cancels
-// every shard and is returned.
-func Run(ctx context.Context, items []engine.BatchItem, plan *Plan, cfg engine.BatchConfig, emit func(engine.BatchResult) error) error {
-	if err := plan.Validate(); err != nil {
-		return err
-	}
-	if len(plan.Shards) != len(items) {
-		return fmt.Errorf("shard: plan covers %d items, got %d", len(plan.Shards), len(items))
-	}
-	if emit == nil {
-		return fmt.Errorf("shard: nil emit callback")
-	}
-
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	locals := plan.Locals()
-	window := cfg.MaxPending
-	if window <= 0 {
-		window = 4
-	}
-	chans := make([]chan engine.BatchResult, plan.K)
-	errs := make([]error, plan.K)
-	var wg sync.WaitGroup
-	for s := 0; s < plan.K; s++ {
-		chans[s] = make(chan engine.BatchResult, window)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer close(chans[s])
-			mine := locals[s]
-			seq := func(yield func(engine.BatchItem) bool) {
-				for _, g := range mine {
-					if !yield(items[g]) {
-						return
-					}
-				}
-			}
-			local := 0
-			errs[s] = engine.SweepBatch(sctx, seq, cfg, func(br engine.BatchResult) error {
-				br.Index = mine[local]
-				local++
-				select {
-				case chans[s] <- br:
-					return nil
-				case <-sctx.Done():
-					return sctx.Err()
-				}
-			})
-		}(s)
-	}
-
-	var emitErr error
-	emitted := 0
-	for g := range plan.Shards {
-		br, ok := <-chans[plan.Shards[g]]
-		if !ok {
-			// The owning shard ended early; its error is reported after
-			// the goroutines drain.
-			break
-		}
-		if err := emit(br); err != nil {
-			emitErr = err
-			break
-		}
-		emitted++
-	}
-	if emitted != len(plan.Shards) {
-		// Early termination only: cancel the shards and drain their
-		// channels so pools parked on a send wind down. On the success
-		// path the shards have already returned — cancelling before
-		// they observe their own completion would turn their final
-		// ctx.Err() check into a spurious failure.
-		cancel()
-		for _, ch := range chans {
-			go func(ch chan engine.BatchResult) {
-				for range ch {
-				}
-			}(ch)
-		}
-	}
-	wg.Wait()
-	if emitErr != nil {
-		return emitErr
-	}
-	for s, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if emitted != len(plan.Shards) {
-		// Unreachable unless an engine invariant breaks, but a silent
-		// short merge must never look like success.
-		return fmt.Errorf("shard: merged %d of %d items", emitted, len(plan.Shards))
-	}
-	return nil
 }
 
 // MergeJSONL merges per-shard JSONL outputs (one line per item, in

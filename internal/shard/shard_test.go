@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"storagesched/internal/cache"
 	"storagesched/internal/engine"
 	"storagesched/internal/gen"
 )
@@ -29,15 +27,6 @@ func testItems(t *testing.T) []engine.BatchItem {
 		{Err: errors.New("shard_test: broken source b")},
 		{Instance: gen.GridBatch(25, 3, 5)},
 	}
-}
-
-func testGrid(t *testing.T) []float64 {
-	t.Helper()
-	grid, err := engine.GeometricGrid(0.5, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return grid
 }
 
 func TestParsePolicy(t *testing.T) {
@@ -77,6 +66,11 @@ func TestNewPlanRoundRobin(t *testing.T) {
 	if counts[0]+counts[1]+counts[2] != len(items) {
 		t.Errorf("counts %v do not sum to %d", counts, len(items))
 	}
+	// Locals lists each shard's global indexes in global order.
+	want := [][]int{{0, 3, 6}, {1, 4, 7}, {2, 5}}
+	if got := plan.Locals(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Locals = %v, want %v", got, want)
+	}
 }
 
 func TestNewPlanHashAffineRoutesDuplicatesTogether(t *testing.T) {
@@ -108,144 +102,6 @@ func TestNewPlanRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := NewPlan(2, Policy(42), testItems(t)); err == nil {
 		t.Error("unknown policy accepted")
-	}
-}
-
-// The acceptance criterion: for K ∈ {1, 2, 4} under both policies, the
-// sharded run emits exactly the unsharded batch — same order, same
-// per-item errors, same results.
-func TestRunMatchesUnshardedAcrossKAndPolicies(t *testing.T) {
-	items := testItems(t)
-	cfg := engine.BatchConfig{Config: engine.Config{Deltas: testGrid(t), Workers: 2}}
-
-	var want []engine.BatchResult
-	if err := engine.SweepBatch(context.Background(), seqOf(items), cfg, func(br engine.BatchResult) error {
-		want = append(want, br)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, policy := range []Policy{RoundRobin, HashAffine} {
-		for _, k := range []int{1, 2, 4} {
-			plan, err := NewPlan(k, policy, items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []engine.BatchResult
-			err = Run(context.Background(), items, plan, cfg, func(br engine.BatchResult) error {
-				got = append(got, br)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("policy=%v k=%d: %v", policy, k, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("policy=%v k=%d: emitted %d, want %d", policy, k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Index != want[i].Index {
-					t.Errorf("policy=%v k=%d pos %d: index %d, want %d", policy, k, i, got[i].Index, want[i].Index)
-				}
-				if (got[i].Err == nil) != (want[i].Err == nil) {
-					t.Errorf("policy=%v k=%d item %d: err %v, want %v", policy, k, i, got[i].Err, want[i].Err)
-					continue
-				}
-				if want[i].Err != nil {
-					if got[i].Err.Error() != want[i].Err.Error() {
-						t.Errorf("policy=%v k=%d item %d: err %q, want %q", policy, k, i, got[i].Err, want[i].Err)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(got[i].Result, want[i].Result) {
-					t.Errorf("policy=%v k=%d item %d: results differ", policy, k, i)
-				}
-			}
-		}
-	}
-}
-
-// Sharded runs may share one cache; hash affinity keeps each item's
-// entries on one shard, and a second pass hits everywhere.
-func TestRunWithSharedCacheWarmsAcrossPasses(t *testing.T) {
-	items := testItems(t)
-	c, err := cache.New(cache.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := engine.BatchConfig{Config: engine.Config{Deltas: testGrid(t), Workers: 1}, Cache: c}
-	plan, err := NewPlan(2, HashAffine, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pass := func() (hits int) {
-		t.Helper()
-		if err := Run(context.Background(), items, plan, cfg, func(br engine.BatchResult) error {
-			if br.CacheHit {
-				hits++
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return hits
-	}
-	pass()
-	valid := 0
-	for _, it := range items {
-		if it.Err == nil {
-			valid++
-		}
-	}
-	if hits := pass(); hits != valid {
-		t.Errorf("warm pass hit %d of %d valid items", hits, valid)
-	}
-}
-
-func TestRunEmitErrorAborts(t *testing.T) {
-	items := testItems(t)
-	plan, err := NewPlan(2, RoundRobin, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("shard_test: stop")
-	cfg := engine.BatchConfig{Config: engine.Config{Deltas: testGrid(t), Workers: 1}}
-	err = Run(context.Background(), items, plan, cfg, func(engine.BatchResult) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want %v", err, boom)
-	}
-}
-
-func TestRunCancelledContext(t *testing.T) {
-	items := testItems(t)
-	plan, err := NewPlan(2, RoundRobin, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfg := engine.BatchConfig{Config: engine.Config{Deltas: testGrid(t), Workers: 1}}
-	err = Run(ctx, items, plan, cfg, func(engine.BatchResult) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestRunRejectsBadInputs(t *testing.T) {
-	items := testItems(t)
-	plan, err := NewPlan(2, RoundRobin, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := engine.BatchConfig{Config: engine.Config{Deltas: testGrid(t)}}
-	if err := Run(context.Background(), items, nil, cfg, func(engine.BatchResult) error { return nil }); err == nil {
-		t.Error("nil plan accepted")
-	}
-	if err := Run(context.Background(), items[:3], plan, cfg, func(engine.BatchResult) error { return nil }); err == nil {
-		t.Error("plan/items length mismatch accepted")
-	}
-	if err := Run(context.Background(), items, plan, cfg, nil); err == nil {
-		t.Error("nil emit accepted")
 	}
 }
 
@@ -296,15 +152,5 @@ func TestMergeJSONLStrictness(t *testing.T) {
 		func([]byte, int) ([]byte, error) { return nil, errors.New("bad line") })
 	if err == nil || !strings.Contains(err.Error(), "bad line") {
 		t.Errorf("rewrite error: err = %v", err)
-	}
-}
-
-func seqOf(items []engine.BatchItem) func(func(engine.BatchItem) bool) {
-	return func(yield func(engine.BatchItem) bool) {
-		for _, it := range items {
-			if !yield(it) {
-				return
-			}
-		}
 	}
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"strings"
 	"testing"
@@ -50,25 +49,20 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
-// A corrupt plan must fail Run and MergeJSONL with the validation
-// error, not panic inside Locals — the regression this guards was an
+// A corrupt plan must fail MergeJSONL with the validation error, not
+// panic inside Locals — the regression this guards was an
 // index-out-of-range crash.
-func TestRunAndMergeRejectCorruptPlans(t *testing.T) {
-	items := []engine.BatchItem{{}, {}}
+func TestMergeJSONLRejectsCorruptPlans(t *testing.T) {
 	for _, plan := range []*Plan{
 		{K: 2, Policy: RoundRobin, Shards: []int{0, 2}},
 		{K: 2, Policy: RoundRobin, Shards: []int{-1, 0}},
 	} {
-		err := Run(context.Background(), items, plan, engine.BatchConfig{}, func(engine.BatchResult) error { return nil })
-		if err == nil || !strings.Contains(err.Error(), "want [0,2)") {
-			t.Errorf("Run(%v) error = %v, want placement-range validation", plan.Shards, err)
-		}
 		var out bytes.Buffer
 		readers := make([]io.Reader, plan.K)
 		for i := range readers {
 			readers[i] = strings.NewReader("")
 		}
-		err = MergeJSONL(&out, plan, readers, nil)
+		err := MergeJSONL(&out, plan, readers, nil)
 		if err == nil || !strings.Contains(err.Error(), "want [0,2)") {
 			t.Errorf("MergeJSONL(%v) error = %v, want placement-range validation", plan.Shards, err)
 		}

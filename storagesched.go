@@ -487,7 +487,8 @@ func NewDirStore(dir string) (DirStore, error) { return cache.NewDirStore(dir) }
 func NewSweepCache(cfg CacheConfig) (*SweepCache, error) { return cache.New(cfg) }
 
 // Shard coordination (see internal/shard): deterministic splitting of
-// a batch across K pools or processes with order-preserving merges.
+// a batch across K processes or sweeps; ShardPlan.Locals lists each
+// shard's slice of the input in global order.
 type (
 	// ShardPolicy places items on shards (round-robin or hash-affine).
 	ShardPolicy = shard.Policy
@@ -510,13 +511,6 @@ func ParseShardPolicy(s string) (ShardPolicy, error) { return shard.ParsePolicy(
 // depends only on the inputs, never on timing.
 func NewShardPlan(k int, policy ShardPolicy, items []BatchItem) (*ShardPlan, error) {
 	return shard.NewPlan(k, policy, items)
-}
-
-// ShardedSweepBatch runs the plan with one SweepBatch pool per shard
-// and streams results to emit in global input order — byte-identical
-// to an unsharded SweepBatch over the same items and config.
-func ShardedSweepBatch(ctx context.Context, items []BatchItem, plan *ShardPlan, cfg BatchConfig, emit func(BatchResult) error) error {
-	return shard.Run(ctx, items, plan, cfg, emit)
 }
 
 // SweepLinearGrid returns n evenly spaced δ values covering [lo, hi],

@@ -287,8 +287,8 @@ func TestFacadeSweepGraph(t *testing.T) {
 
 // TestFacadeCacheAndShards drives the cluster-scale surface end to
 // end: a front cache serves a warm batch byte-for-byte, a shard plan
-// routes identical items together, and a sharded batch reproduces the
-// unsharded stream.
+// routes identical items together, and one batch per shard over the
+// shared cache reproduces the unsharded fronts.
 func TestFacadeCacheAndShards(t *testing.T) {
 	grid, err := SweepGeometricGrid(0.5, 8, 6)
 	if err != nil {
@@ -348,19 +348,27 @@ func TestFacadeCacheAndShards(t *testing.T) {
 	if _, err := ParseShardPolicy("rr"); err != nil {
 		t.Errorf("ParseShardPolicy(rr): %v", err)
 	}
-	var sharded []BatchResult
-	if err := ShardedSweepBatch(context.Background(), items, plan, cfg, func(br BatchResult) error {
-		sharded = append(sharded, br)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range items {
-		if sharded[i].Index != i {
-			t.Fatalf("sharded order: got %d at position %d", sharded[i].Index, i)
+	// One batch per shard over the shared warm cache: every item hits
+	// and reproduces its cold front.
+	for _, local := range plan.Locals() {
+		shardSeq := func(yield func(BatchItem) bool) {
+			for _, g := range local {
+				if !yield(items[g]) {
+					return
+				}
+			}
 		}
-		if !reflect.DeepEqual(sharded[i].Result.Front, cold[i].Result.Front) {
-			t.Errorf("item %d: sharded front differs", i)
+		if err := SweepBatch(context.Background(), shardSeq, cfg, func(br BatchResult) error {
+			g := local[br.Index]
+			if !br.CacheHit {
+				t.Errorf("sharded item %d not served from cache", g)
+			}
+			if !reflect.DeepEqual(br.Result.Front, cold[g].Result.Front) {
+				t.Errorf("item %d: sharded front differs", g)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

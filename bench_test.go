@@ -17,6 +17,7 @@ import (
 	"iter"
 	"runtime"
 	"testing"
+	"time"
 
 	"storagesched/internal/cache"
 	"storagesched/internal/core"
@@ -179,12 +180,14 @@ func BenchmarkSweepBatch_n50(b *testing.B) {
 	}
 }
 
-// Adaptive batch sweeps: the 50-instance workload through the
-// two-pass refinement pipeline (coarse pass, bend detection, targeted
-// second pass, merged fronts). Tracked in the BENCH_sweep.json
+// Adaptive batch sweeps: the 50-instance workload through adaptive
+// refinement (coarse phase, bend detection, targeted refinement phase,
+// merged fronts, all in one batch). Tracked in the BENCH_sweep.json
 // artifact next to the fixed-grid batch benchmarks: the adaptive cost
 // should stay within a small factor of a fixed-grid sweep of the same
-// total run count, since both passes share one pool configuration.
+// total run count, since both phases share one pool. first-front-ms is
+// the mean time from the call to the first emitted front — how soon a
+// streaming consumer sees output.
 func BenchmarkSweepBatchAdaptive_n50(b *testing.B) {
 	ins := make([]*model.Instance, sweepBatchInstances)
 	for i := range ins {
@@ -196,14 +199,19 @@ func BenchmarkSweepBatchAdaptive_n50(b *testing.B) {
 	cfg := engine.BatchConfig{Config: engine.Config{Deltas: benchGrid(b, grid, err), Workers: runtime.NumCPU()}}
 	rcfg := refine.Config{Gap: 0.05, MaxPoints: 8}
 	ctx := context.Background()
+	var firstFront time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		emitted := 0
+		t0 := time.Now()
 		err := refine.SweepBatchAdaptive(ctx, engine.BatchOf(ins...), cfg, rcfg,
 			func(br engine.BatchResult) error {
 				if br.Err != nil {
 					return br.Err
+				}
+				if emitted == 0 {
+					firstFront += time.Since(t0)
 				}
 				emitted++
 				return nil
@@ -215,6 +223,7 @@ func BenchmarkSweepBatchAdaptive_n50(b *testing.B) {
 			b.Fatalf("emitted %d fronts, want %d", emitted, len(ins))
 		}
 	}
+	b.ReportMetric(float64(firstFront.Microseconds())/1e3/float64(b.N), "first-front-ms")
 }
 
 // DAG batch sweeps: 30 layered graphs through one shared pool — the

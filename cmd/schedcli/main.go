@@ -30,9 +30,9 @@
 //	{"m": 2, "tasks": [{"id":0,"p":4,"s":1}, ...]}
 //	{"m": 2, "tasks": [...], "edges": [[0,1], [1,2]]}
 //
-// With -refine the batch runs the adaptive two-pass pipeline: a coarse
-// sweep at the configured grid, then a refinement pass that re-sweeps
-// each item only where its front's relative gap exceeds -refine-gap
+// With -refine each item of the batch runs a coarse sweep at the
+// configured grid, then, in the same batch, a refinement phase that
+// re-sweeps it only where its front's relative gap exceeds -refine-gap
 // (at most -refine-max-points new δ values per item; task DAGs plan
 // RLS-eligible points only). The merged fronts print in the same JSONL
 // format, one deduplicated front per item:

@@ -86,8 +86,8 @@ func ExampleNewSweepCache() {
 	// pass 1: 3 of 3 served from cache
 }
 
-// ExampleSweepBatchAdaptive runs the two-pass adaptive pipeline: a
-// coarse sweep, then targeted refinement where each front's relative
+// ExampleSweepBatchAdaptive runs the adaptive sweep: per item, a
+// coarse sweep, then targeted refinement where the front's relative
 // gap exceeds the threshold.
 func ExampleSweepBatchAdaptive() {
 	grid, err := sched.SweepGeometricGrid(0.5, 8, 3)

@@ -74,9 +74,7 @@ func BatchOfGraphs(graphs ...*dag.Graph) iter.Seq[BatchItem] {
 
 // BatchOfItems adapts prepared batch items — mixed kinds, overrides
 // and tags intact — to the sequence SweepBatch consumes, yielding
-// them in slice order. Unlike a streaming producer, the slice can be
-// replayed, which is what the adaptive refinement pipeline's second
-// pass needs.
+// them in slice order.
 func BatchOfItems(items ...BatchItem) iter.Seq[BatchItem] {
 	return func(yield func(BatchItem) bool) {
 		for _, item := range items {
@@ -168,7 +166,10 @@ type batchJob struct {
 // config, deterministic job list, memoized prepared state (computed
 // exactly once, by the first worker to touch the item) and the runs
 // landing at their job indexes. Exactly one of in and g is non-nil for
-// a sweepable item.
+// a sweepable item. In a refining batch (SweepBatchRefined) the same
+// record carries the item through both phases: once its coarse jobs
+// are done, the feeder swaps in the refinement grid, jobs and run
+// slots, and the prepared state is reused as it stands.
 type batchState struct {
 	index int
 	in    *model.Instance
@@ -179,7 +180,7 @@ type batchState struct {
 	jobs  []job
 	runs  []Run
 
-	prepOnce  sync.Once
+	prepMu    sync.Mutex
 	prepSBO   *core.SBOPrepared
 	prepRLS   *core.RLSPrepared
 	prepGraph *core.RLSGraphPrepared
@@ -195,7 +196,7 @@ type batchState struct {
 
 	// met is the batch's instrument bundle (nil when uninstrumented);
 	// prepared flags the memoized state as built, so later jobs of the
-	// item count as memo hits.
+	// item skip prepMu and count as memo hits.
 	met      *Metrics
 	prepared atomic.Bool
 
@@ -204,11 +205,22 @@ type batchState struct {
 	done      chan struct{}
 }
 
-// doPrepare runs prepare and flags the memoized state as built; it is
-// the body handed to prepOnce.
-func (st *batchState) doPrepare() {
+// prepareOnce builds the memoized state unless a job of the item
+// already has, and reports whether this call built it — so every job
+// but the preparing one counts as a memo hit, exactly, whatever the
+// worker count.
+func (st *batchState) prepareOnce() bool {
+	if st.prepared.Load() {
+		return false
+	}
+	st.prepMu.Lock()
+	defer st.prepMu.Unlock()
+	if st.prepared.Load() {
+		return false
+	}
 	st.prepare()
 	st.prepared.Store(true)
+	return true
 }
 
 // prepare memoizes the per-item state shared by every run — for
@@ -286,9 +298,7 @@ func (bj batchJob) run(scr *core.Scratch) {
 		// partial result is never emitted.
 		st.skipped.Store(true)
 	default:
-		already := st.prepared.Load()
-		st.prepOnce.Do(st.doPrepare)
-		if already {
+		if !st.prepareOnce() {
 			st.met.memoHit()
 		}
 		if st.err == nil {
@@ -303,6 +313,151 @@ func (bj batchJob) run(scr *core.Scratch) {
 	if st.remaining.Add(-1) == 0 {
 		close(st.done)
 	}
+}
+
+// layout lays out the item's jobs for its current config. Admission
+// consults the cache before job generation: a decodable hit makes the
+// item jobless and its Result streams out in the usual order, while a
+// miss (or a corrupt entry) records the key for write-back at
+// emission. A jobless item — cache hit or invalid grid — is done at
+// once.
+func (st *batchState) layout(c *cache.Cache) {
+	jobs, err := buildJobs(st.cfg, st.g != nil)
+	if err != nil {
+		st.err = err
+		close(st.done)
+		return
+	}
+	if c != nil {
+		st.key = itemKey(st)
+		if data, ok := c.Get(st.key); ok {
+			if res, derr := decodeResult(data); derr == nil {
+				st.cached = res
+				close(st.done)
+				return
+			}
+		}
+		st.writeBack = true
+	}
+	st.jobs = jobs
+	st.runs = make([]Run, len(jobs))
+	st.remaining.Store(int64(len(jobs)))
+}
+
+// assemble builds the Result of the item's finished jobs.
+func (st *batchState) assemble() *Result {
+	return &Result{Bounds: st.bounds, Runs: st.runs, Front: AssembleFront(st.runs)}
+}
+
+// result is the item's BatchResult once its jobs are done: the cached
+// Result of a hit, or the computed one — written back to c when
+// admission recorded a miss.
+func (st *batchState) result(c *cache.Cache) BatchResult {
+	br := BatchResult{Index: st.index, Err: st.err, Tag: st.tag}
+	switch {
+	case st.cached != nil:
+		br.Result = st.cached
+		br.CacheHit = true
+	case st.err == nil:
+		br.Result = st.assemble()
+		if st.writeBack {
+			putResult(c, st.key, br.Result)
+		}
+	}
+	return br
+}
+
+// putResult writes a computed Result back to the cache; an entry that
+// does not encode is simply not cached.
+func putResult(c *cache.Cache, key cache.Key, res *Result) {
+	if data, err := encodeResult(res); err == nil {
+		c.Put(key, data)
+	}
+}
+
+// Planner plans an item's refinement δ-grid from its coarse Result;
+// graph marks task-DAG items. An empty grid leaves the item at its
+// coarse Result. A planner error is fatal to the batch. refine.Grid is
+// the planner of the adaptive pipeline.
+type Planner func(res *Result, graph bool) ([]float64, error)
+
+// refinement is the finished coarse phase of an item in a refining
+// batch, held until the item is emitted: the item's batchState has
+// moved on to its refinement phase, so the coarse Result, its cache
+// provenance and its pending write-back ride here.
+type refinement struct {
+	coarse    *Result
+	hit       bool      // coarse Result served from the cache
+	key       cache.Key // coarse cache key, written back when writeBack
+	writeBack bool
+	refined   bool // a refinement phase runs on the item's batchState
+}
+
+// refine ends the item's coarse phase and, when plan asks for more δ
+// values, starts its refinement phase on the same batchState: the grid
+// becomes the planned one (the rest of the effective config carries
+// over, so the prepared state stays valid), the refined cache entry is
+// looked up, and the refinement jobs and run slots are laid out. The
+// caller queues st.jobs afterwards.
+func (st *batchState) refine(plan Planner, c *cache.Cache) (*refinement, error) {
+	ref := &refinement{coarse: st.cached, hit: st.cached != nil, key: st.key, writeBack: st.writeBack}
+	if ref.coarse == nil {
+		ref.coarse = st.assemble()
+	}
+	grid, err := plan(ref.coarse, st.g != nil)
+	if err != nil || len(grid) == 0 {
+		return ref, err
+	}
+	ref.refined = true
+	st.cfg.Deltas = grid
+	st.cached, st.writeBack, st.jobs, st.runs = nil, false, nil, nil
+	st.done = make(chan struct{})
+	st.layout(c)
+	if st.g == nil && st.prepRLS == nil && hasRLS(st.jobs) {
+		// The coarse jobs ran no RLS, so neither did the preparation;
+		// prepare afresh for a grid that does. (refine.Grid never plans
+		// such a grid: its points lie inside the coarse grid's span.)
+		st.prepared.Store(false)
+	}
+	return ref, nil
+}
+
+// result is the merged BatchResult of a refining batch's item once
+// its last phase is done: coarse runs first, refined runs after, the
+// front re-assembled over both (AssembleFront prefers the lowest run
+// index, so coarse witnesses win ties). Both phases' cache entries are
+// written back here, the coarse one first; the merge is a cache hit
+// only when every phase was.
+func (r *refinement) result(st *batchState, c *cache.Cache) BatchResult {
+	if r.writeBack {
+		putResult(c, r.key, r.coarse)
+	}
+	br := BatchResult{Index: st.index, Result: r.coarse, Tag: st.tag, CacheHit: r.hit}
+	if !r.refined {
+		return br
+	}
+	fine := st.result(c)
+	if fine.Err != nil {
+		// The planned grid is valid by construction, so a refinement
+		// failure is exceptional; surface it on the item rather than
+		// silently emitting the coarse half.
+		br.Err = fmt.Errorf("refine: refinement pass for item %d: %w", st.index, fine.Err)
+		br.Result, br.CacheHit = nil, false
+		return br
+	}
+	runs := make([]Run, 0, len(r.coarse.Runs)+len(fine.Result.Runs))
+	runs = append(runs, r.coarse.Runs...)
+	runs = append(runs, fine.Result.Runs...)
+	br.Result = &Result{Bounds: r.coarse.Bounds, Runs: runs, Front: AssembleFront(runs)}
+	br.CacheHit = r.hit && fine.CacheHit
+	return br
+}
+
+// pendingItem is an admitted item on its way to the emitter, with the
+// record of its finished coarse phase in a refining batch.
+type pendingItem struct {
+	st  *batchState
+	ref *refinement
 }
 
 // SweepBatch sweeps every instance of items through one shared worker
@@ -327,6 +482,37 @@ func (bj batchJob) run(scr *core.Scratch) {
 // with emit: a sequence that shares mutable state with the caller must
 // synchronize, or carry per-item context in BatchItem.Tag instead.
 func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig, emit func(BatchResult) error) error {
+	return sweepBatch(ctx, items, cfg, nil, emit)
+}
+
+// SweepBatchRefined is SweepBatch with a second, adaptive phase per
+// item. When an item's coarse jobs finish — or its coarse entry hits
+// the cache — the batch's feeder goroutine hands its coarse Result to
+// plan, and a non-empty grid becomes the item's refinement phase: its
+// cache entry is looked up under the refined grid's fingerprint and its
+// jobs run in the same pool against the item's already-prepared state.
+// The item keeps its admission slot throughout, so memory stays
+// O(MaxPending), and its merged Result — coarse runs first, refined
+// runs after, the front assembled over both — is emitted in input
+// order as soon as both phases are done, while later items are still
+// being read. Items plan skips emit their coarse Result unchanged.
+//
+// Cache entries are keyed per phase (the coarse one under the item's
+// base fingerprint, so plain SweepBatch runs of the same grid share
+// it) and both are written back when the item is emitted; a merged
+// Result is flagged CacheHit only when every phase was served from the
+// cache. A refinement-phase failure fails the item; a plan error
+// aborts the batch.
+func SweepBatchRefined(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig, plan Planner, emit func(BatchResult) error) error {
+	if plan == nil {
+		return fmt.Errorf("engine: nil refinement planner")
+	}
+	return sweepBatch(ctx, items, cfg, plan, emit)
+}
+
+// sweepBatch is SweepBatch, with plan (when non-nil) adding each
+// item's refinement phase.
+func sweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig, plan Planner, emit func(BatchResult) error) error {
 	if items == nil {
 		return fmt.Errorf("engine: nil batch item sequence")
 	}
@@ -354,21 +540,43 @@ func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	order := make(chan *batchState, pending)
+	order := make(chan pendingItem, pending)
 	admit := make(chan struct{}, pending)
+
+	// queue hands the first n jobs of an item's current phase to the
+	// pool; false means the batch was cancelled before every job was
+	// handed over. Callers read n before the item leaves their hands:
+	// once it has, the feeder may start its next phase.
+	queue := func(st *batchState, n int) bool {
+		for i := range n {
+			st.met.jobQueued()
+			select {
+			case jobCh <- batchJob{st: st, idx: i}:
+			case <-pctx.Done():
+				st.met.jobUnqueued()
+				return false
+			}
+		}
+		return true
+	}
+
+	// In a refining batch the producer hands admitted items to the
+	// feeder, which forwards them to the emitter once their coarse
+	// phase is done; otherwise they go to the emitter directly. Like
+	// order, the channel holds at most the `pending` admitted items.
+	admitted := order
+	if plan != nil {
+		admitted = make(chan pendingItem, pending)
+	}
 
 	// Producer: admit instances in input order, lay out their
 	// deterministic job lists and feed the shared pool. The admit
 	// semaphore (released by the emitter loop below) keeps at most
-	// `pending` instances in flight. Only a private job channel is
-	// closed here — a resident pool outlives the batch.
+	// `pending` instances in flight.
 	prodDone := make(chan struct{})
 	go func() {
 		defer close(prodDone)
-		defer close(order)
-		if !shared {
-			defer close(jobCh)
-		}
+		defer close(admitted)
 		index := 0
 		for item := range items {
 			st := &batchState{index: index, in: item.Instance, g: item.Graph, tag: item.Tag, ctx: pctx, met: cfg.Metrics, done: make(chan struct{})}
@@ -390,52 +598,68 @@ func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 				st.err = fmt.Errorf("engine: batch item %d has both instance and graph", st.index)
 				close(st.done)
 			default:
-				jobs, err := buildJobs(eff, item.Graph != nil)
-				if err != nil {
-					st.err = err
-					close(st.done)
-					break
-				}
-				// Admission consults the cache before job generation: a
-				// decodable hit makes the item jobless and its Result
-				// streams out in the usual order. A miss (or a corrupt
-				// entry) records the key for write-back at emission.
-				if cfg.Cache != nil {
-					st.key = itemKey(st)
-					if data, ok := cfg.Cache.Get(st.key); ok {
-						if res, derr := decodeResult(data); derr == nil {
-							st.cached = res
-							close(st.done)
-							break
-						}
-					}
-					st.writeBack = true
-				}
-				st.jobs = jobs
-				st.runs = make([]Run, len(jobs))
-				st.remaining.Store(int64(len(jobs)))
+				st.layout(cfg.Cache)
 			}
 			select {
 			case admit <- struct{}{}:
 			case <-pctx.Done():
 				return
 			}
+			n := len(st.jobs)
 			select {
-			case order <- st:
+			case admitted <- pendingItem{st: st}:
 			case <-pctx.Done():
 				return
 			}
-			for i := range st.jobs {
-				st.met.jobQueued()
-				select {
-				case jobCh <- batchJob{st: st, idx: i}:
-				case <-pctx.Done():
-					st.met.jobUnqueued()
-					return
-				}
+			if !queue(st, n) {
+				return
 			}
 		}
 	}()
+
+	// Feeder (refining batches only): take each admitted item, in
+	// order, the moment its coarse phase is done, start its refinement
+	// phase and queue the refinement jobs. Items move on to the
+	// emitter before their refinement jobs are queued, so the emitter
+	// waits on the refinement phase's done channel.
+	var feedDone chan struct{}
+	var planErr error
+	if plan != nil {
+		feedDone = make(chan struct{})
+		go func() {
+			defer close(feedDone)
+			defer close(order)
+			for p := range admitted {
+				st := p.st
+				select {
+				case <-st.done:
+				case <-pctx.Done():
+					return
+				}
+				if st.err == nil && !st.skipped.Load() {
+					ref, err := st.refine(plan, cfg.Cache)
+					if err != nil {
+						planErr = err
+						cancel()
+						return
+					}
+					p.ref = ref
+				}
+				n := 0
+				if p.ref != nil && p.ref.refined {
+					n = len(st.jobs)
+				}
+				select {
+				case order <- p:
+				case <-pctx.Done():
+					return
+				}
+				if !queue(st, n) {
+					return
+				}
+			}
+		}()
+	}
 
 	var wg sync.WaitGroup
 	if !shared {
@@ -459,7 +683,8 @@ func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 	// cancellation, which ctx.Err() reports below.
 	var emitErr error
 emitting:
-	for st := range order {
+	for p := range order {
+		st := p.st
 		select {
 		case <-st.done:
 		case <-pctx.Done():
@@ -474,18 +699,11 @@ emitting:
 		if st.skipped.Load() {
 			break emitting
 		}
-		br := BatchResult{Index: st.index, Err: st.err, Tag: st.tag}
-		switch {
-		case st.cached != nil:
-			br.Result = st.cached
-			br.CacheHit = true
-		case st.err == nil:
-			br.Result = &Result{Bounds: st.bounds, Runs: st.runs, Front: AssembleFront(st.runs)}
-			if st.writeBack {
-				if data, eerr := encodeResult(br.Result); eerr == nil {
-					cfg.Cache.Put(st.key, data)
-				}
-			}
+		var br BatchResult
+		if p.ref != nil {
+			br = p.ref.result(st, cfg.Cache)
+		} else {
+			br = st.result(cfg.Cache)
 		}
 		// Drop the prepared state before emitting: only the Result —
 		// now owned by the caller — outlives this iteration.
@@ -496,18 +714,28 @@ emitting:
 		}
 		<-admit
 	}
-	// Join the producer before returning: a cancelled select unblocks it,
-	// and once SweepBatch has returned no goroutine of this batch can
-	// still be submitting to a shared pool — the guarantee Pool.Close's
-	// quiesce-first contract rests on. Private workers then drain their
-	// closed channel and exit; jobs of this batch still queued on a
-	// shared pool see the cancelled context and skip, counting themselves
-	// down without touching emitted state.
+	// Join the producer and the feeder before returning: a cancelled
+	// select unblocks them, and once SweepBatch has returned no
+	// goroutine of this batch can still be submitting to a shared pool
+	// — the guarantee Pool.Close's quiesce-first contract rests on. A
+	// private job channel closes only then, so no send can race its
+	// close; the private workers drain it and exit. Jobs of this batch
+	// still queued on a shared pool see the cancelled context and skip,
+	// counting themselves down without touching emitted state.
 	cancel()
 	<-prodDone
+	if feedDone != nil {
+		<-feedDone
+	}
+	if !shared {
+		close(jobCh)
+	}
 	wg.Wait()
 	if emitErr != nil {
 		return emitErr
+	}
+	if planErr != nil {
+		return planErr
 	}
 	return ctx.Err()
 }

@@ -11,6 +11,7 @@ import (
 
 	"storagesched/internal/core"
 	"storagesched/internal/gen"
+	"storagesched/internal/metrics"
 	"storagesched/internal/model"
 )
 
@@ -372,15 +373,21 @@ func TestSweepBatchStreamsManyInstances(t *testing.T) {
 	}
 }
 
-// TestSweepBatchPreparesOncePerInstance counts SBO preparations via
-// the prepared sub-schedule identity: every run of one instance must
-// see the same memoized core.SBOPrepared outcome as a direct call.
+// TestSweepBatchPreparesOncePerInstance counts preparations — every
+// job but the one that builds its item's prepared state is a memo hit,
+// whatever the worker count — and checks every run of the instance
+// against a direct call, so the one memoized core.SBOPrepared serves
+// them all.
 func TestSweepBatchPreparesOncePerInstance(t *testing.T) {
 	in := gen.Uniform(50, 4, 3)
+	met := NewMetrics(metrics.NewRegistry())
 	got := collectBatch(t, []*model.Instance{in},
-		BatchConfig{Config: Config{Deltas: []float64{0.5, 1, 2, 4}, SkipRLS: true, Workers: 4}})
+		BatchConfig{Config: Config{Deltas: []float64{0.5, 1, 2, 4}, SkipRLS: true, Workers: 4}, Metrics: met})
 	if len(got) != 1 || got[0].Err != nil {
 		t.Fatalf("unexpected batch outcome: %+v", got)
+	}
+	if prepares := met.jobs.Value() - met.memoHits.Value(); prepares != 1 {
+		t.Errorf("%d preparations, want 1", prepares)
 	}
 	for _, r := range got[0].Result.Runs {
 		direct, err := core.SBOWithLPT(in, r.Delta)

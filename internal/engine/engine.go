@@ -29,6 +29,10 @@
 // core.PrepareRLS's memoized topological state, with the lower-bound
 // record memoized via bounds.ForGraph, and both kinds mix freely in
 // one stream. Sweep and SweepGraph are the single-item special cases.
+// SweepBatchRefined adds a second, adaptive phase per item inside the
+// same batch: the moment an item's coarse jobs are done, a planner
+// picks its refinement grid and the refinement jobs run against the
+// item's already-prepared state.
 package engine
 
 import (

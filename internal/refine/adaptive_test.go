@@ -8,10 +8,12 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"storagesched/internal/cache"
 	"storagesched/internal/engine"
 	"storagesched/internal/gen"
+	"storagesched/internal/metrics"
 )
 
 // adaptiveWorkload is the mixed batch the driver tests sweep: two
@@ -246,5 +248,170 @@ func TestAdaptiveCacheInteraction(t *testing.T) {
 	afterSecond := c.Stats()
 	if afterSecond.Misses != afterFirst.Misses {
 		t.Errorf("fully warm adaptive run missed %d times", afterSecond.Misses-afterFirst.Misses)
+	}
+}
+
+// prepares is the number of items a metered batch prepared: every job
+// but the one that builds its item's prepared state counts as a memo
+// hit.
+func prepares(reg *metrics.Registry) int64 {
+	return reg.Counter("sched_engine_jobs_total", "").Value() -
+		reg.Counter("sched_engine_prepared_memo_hits_total", "").Value()
+}
+
+// TestAdaptiveStreams: an item's merged front leaves while the item
+// sequence is still being read. The sequence yields item 0 and then
+// waits for item 0's front before yielding more, so a pipeline that
+// drains the sequence before emitting times out here. The streamed
+// fronts equal an ordinary run's, and each item is prepared exactly
+// once — its refinement phase reuses the coarse phase's prepared
+// state.
+func TestAdaptiveStreams(t *testing.T) {
+	items := adaptiveWorkload()
+	rcfg := Config{Gap: 0.05, MaxPoints: 12}
+	want := collectAdaptive(t, items, adaptiveConfig(2), rcfg)
+	var coarse []engine.BatchResult
+	if err := engine.SweepBatch(context.Background(), sliceSeq(items), adaptiveConfig(2), func(br engine.BatchResult) error {
+		coarse = append(coarse, br)
+		return br.Err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	refined := 0
+	for i := range items {
+		if len(want[i].Result.Runs) > len(coarse[i].Result.Runs) {
+			refined++
+		}
+	}
+	if refined == 0 {
+		t.Fatal("no item was refined; the workload should exercise the refinement phase")
+	}
+
+	for _, resident := range []bool{false, true} {
+		t.Run(fmt.Sprintf("resident=%v", resident), func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			cfg := adaptiveConfig(2)
+			cfg.Metrics = engine.NewMetrics(reg)
+			if resident {
+				pool := engine.NewPool(2)
+				defer pool.Close()
+				cfg.Pool = pool
+			}
+			first := make(chan struct{})
+			seq := func(yield func(engine.BatchItem) bool) {
+				for i, item := range items {
+					if !yield(item) {
+						return
+					}
+					if i != 0 {
+						continue
+					}
+					select {
+					case <-first:
+					case <-time.After(10 * time.Second):
+						t.Error("item 0's front was not emitted while the sequence waited for it")
+						return
+					}
+				}
+			}
+			var got []engine.BatchResult
+			err := SweepBatchAdaptive(context.Background(), seq, cfg, rcfg, func(br engine.BatchResult) error {
+				if br.Index == 0 {
+					close(first)
+				}
+				got = append(got, br)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("streamed adaptive results differ from an ordinary run's")
+			}
+			if n := prepares(reg); n != int64(len(items)) {
+				t.Errorf("%d preparations for %d items (%d refined), want one per item", n, len(items), refined)
+			}
+		})
+	}
+}
+
+// TestAdaptiveCancelQuiesce cancels an adaptive sweep on a shared pool
+// once its refinement phase is under way, with refinement jobs queued
+// behind the pool's one busy worker: the sweep returns ctx.Err()
+// without emitting a partial front, the pool then closes cleanly (no
+// batch goroutine is left to send on its closed job channel), and the
+// goroutine count settles back to where it started. The engine's
+// TestSweepBatchRefinedCancelQuiesce pins the same cancellation point
+// deterministically.
+func TestAdaptiveCancelQuiesce(t *testing.T) {
+	items := []engine.BatchItem{{Instance: gen.Uniform(400, 16, 1)}}
+	rcfg := Config{Gap: 0.01, MaxPoints: 64}
+	cfg := adaptiveConfig(1)
+	full := collectAdaptive(t, items, cfg, rcfg)
+	var coarseRuns int64
+	if err := engine.SweepBatch(context.Background(), sliceSeq(items), cfg, func(br engine.BatchResult) error {
+		if br.Err == nil {
+			coarseRuns = int64(len(br.Result.Runs))
+		}
+		return br.Err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(full[0].Result.Runs)) < coarseRuns+100 {
+		t.Fatalf("%d refined runs; the item should refine at length", int64(len(full[0].Result.Runs))-coarseRuns)
+	}
+
+	base := runtime.NumGoroutine()
+	pool := engine.NewPool(1)
+	reg := metrics.NewRegistry()
+	cfg.Pool = pool
+	cfg.Metrics = engine.NewMetrics(reg)
+	jobs := reg.Counter("sched_engine_jobs_total", "")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seq := func(yield func(engine.BatchItem) bool) {
+		if !yield(items[0]) {
+			return
+		}
+		// Cancel once the first refinement job has run: the feeder is
+		// then handing the rest, one by one, to the busy worker.
+		deadline := time.Now().Add(10 * time.Second)
+		for jobs.Value() <= coarseRuns {
+			if time.Now().After(deadline) {
+				t.Error("the refinement phase never started")
+				break
+			}
+			runtime.Gosched()
+		}
+		cancel()
+	}
+	var emitted []engine.BatchResult
+	err := SweepBatchAdaptive(ctx, seq, cfg, rcfg, func(br engine.BatchResult) error {
+		emitted = append(emitted, br)
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled adaptive sweep returned %v, want context.Canceled", err)
+	}
+	// The refinement phase outlasts the poll above by far, so the item
+	// is all but certainly cut short; whatever is emitted must be
+	// whole.
+	for _, br := range emitted {
+		if !reflect.DeepEqual(br, full[br.Index]) {
+			t.Errorf("item %d: a partial front was emitted", br.Index)
+		}
+	}
+	if len(emitted) != 0 {
+		t.Logf("the refinement phase finished before the cancellation landed")
+	}
+
+	pool.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, want at most the %d before the sweep", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -13,13 +13,17 @@
 // witness runs' δ parameters, largest gaps first, up to
 // Config.MaxPoints per item.
 //
-// SweepBatchAdaptive is the two-pass pipeline built on this scorer: a
-// coarse engine.SweepBatch pass streams fronts as usual, Grid plans a
-// per-item refinement grid from each coarse front, and a second pass
-// re-enters the batch with per-item Config overrides; coarse and
-// refined runs merge into one deduplicated front per item, emitted in
-// input order. Both passes are byte-deterministic for a fixed input,
-// whatever the worker count.
+// SweepBatchAdaptive is the adaptive sweep built on this scorer: one
+// engine.SweepBatchRefined batch in which each item runs a coarse
+// phase, Grid plans its refinement grid from the coarse front the
+// moment that phase is done, and a refinement phase runs in the same
+// pool against the item's already-prepared state — each item is
+// prepared once. Coarse and refined runs merge into one deduplicated
+// front per item, streamed in input order while later items are still
+// being read, so memory is O(MaxPending) like any batch; the item's
+// coarse and refined cache entries are both written when it is
+// emitted. Fronts are byte-deterministic for a fixed input, whatever
+// the worker count.
 package refine
 
 import (

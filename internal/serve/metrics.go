@@ -24,6 +24,9 @@ const (
 	RefusalClientCap = "client_cap"
 	// RefusalDraining labels 503s refused because the server drains.
 	RefusalDraining = "draining"
+	// RefusalBadQuery labels 400s for a /v1/sweep query that does not
+	// parse into a sweep spec.
+	RefusalBadQuery = "bad_query"
 )
 
 // sessionMetrics is the per-session instrument bundle: sweep and item
@@ -113,7 +116,7 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	}
 	return &serverMetrics{
 		refusals: reg.CounterVec("sched_refusals_total",
-			"sweep requests refused before running (429s by reason, plus refusals while draining)",
+			"sweep requests refused before running (429s by reason, plus refusals while draining and bad queries)",
 			"reason"),
 		clientRefusals: reg.CounterVec("sched_client_refusals_total",
 			"per-client fairness rejections (cardinality-capped; overflow folds into _other)",

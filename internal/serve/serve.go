@@ -134,7 +134,7 @@ type SweepSpec struct {
 	// count.
 	MaxPending int
 
-	// Refine enables the adaptive two-pass pipeline: a coarse sweep at
+	// Refine enables the adaptive sweep: per item, a coarse sweep at
 	// Deltas, then targeted re-sweeps of the δ-intervals where each
 	// front's relative gap exceeds RefineGap.
 	Refine bool
@@ -201,9 +201,9 @@ func (s *Session) Sweep(ctx context.Context, items iter.Seq2[engine.BatchItem, s
 
 	var err error
 	if spec.Refine {
-		// Adaptive: a coarse pass at the configured grid, then a
-		// refinement pass targeting each front's bends; one merged
-		// front per line, still in input order.
+		// Adaptive: per item, a coarse phase at the configured grid,
+		// then a refinement phase targeting the front's bends; one
+		// merged front per line, still streamed in input order.
 		rcfg := refine.Config{Gap: spec.RefineGap, MaxPoints: spec.RefineMaxPoints}
 		err = refine.SweepBatchAdaptive(ctx, tagged, bcfg, rcfg, emit)
 	} else {

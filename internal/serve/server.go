@@ -457,6 +457,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := sweepSpecFromQuery(r.URL.Query())
 	if err != nil {
+		s.met.refused(RefusalBadQuery, client)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

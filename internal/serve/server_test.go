@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"storagesched/internal/cache"
+	"storagesched/internal/metrics"
 )
 
 // Small deterministic test documents: three instances and one task
@@ -160,8 +161,8 @@ func TestServeSweepWarmCache(t *testing.T) {
 // TestServeSweepBadRequest: malformed query parameters and impossible
 // parameter combinations are 400s before any work runs.
 func TestServeSweepBadRequest(t *testing.T) {
-	_, _, srv := newTestServer(t, SessionConfig{}, ServerConfig{})
-	for _, c := range []struct{ q, want string }{
+	_, _, srv := newTestServer(t, SessionConfig{Metrics: metrics.NewRegistry()}, ServerConfig{})
+	cases := []struct{ q, want string }{
 		{"points=three", "not an integer"},
 		{"dmin=low", "not a number"},
 		{"grid=spiral", "unknown grid spacing"},
@@ -173,7 +174,8 @@ func TestServeSweepBadRequest(t *testing.T) {
 		{"point=8", `unknown query parameter "point"`},
 		{"shards=2", `unknown query parameter "shards"`},
 		{"refine=1&shard-policy=rr", `unknown query parameter "shard-policy"`},
-	} {
+	}
+	for _, c := range cases {
 		resp, err := http.Post(srv.URL+"/v1/sweep?"+c.q, "application/jsonl", strings.NewReader(testBody()))
 		if err != nil {
 			t.Fatal(err)
@@ -183,6 +185,11 @@ func TestServeSweepBadRequest(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
 			t.Errorf("query %q: status %d body %q, want 400 naming %q", c.q, resp.StatusCode, body, c.want)
 		}
+	}
+	// Every refused query counts under its own reason.
+	samples, _ := scrapeMetrics(t, srv.URL)
+	if n := sampleInt(t, samples, `sched_refusals_total{reason="bad_query"}`); n != int64(len(cases)) {
+		t.Errorf("bad_query refusals = %d, want %d", n, len(cases))
 	}
 }
 

@@ -374,7 +374,7 @@ func TestFacadeCacheAndShards(t *testing.T) {
 }
 
 // TestFacadeAdaptiveSweep exercises the adaptive-refinement surface:
-// a two-pass batch whose merged fronts pointwise weakly dominate the
+// an adaptive batch whose merged fronts pointwise weakly dominate the
 // coarse ones, plus the grid planner and the gap metric.
 func TestFacadeAdaptiveSweep(t *testing.T) {
 	grid, err := SweepGeometricGrid(0.0625, 256, 6)

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"storagesched/internal/bounds"
 	"storagesched/internal/cache"
 	"storagesched/internal/core"
 	"storagesched/internal/dag"
@@ -429,6 +430,25 @@ func BenchmarkSweepSequential_n50(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkPrepareInstance_n120 is the engine's per-item preparation
+// of a perfbench-shaped instance (n = 120, m = 8): the SBO
+// sub-schedules, the four RLS tie-break orders and the lower-bound
+// record that every cold instance item pays once before its runs.
+func BenchmarkPrepareInstance_n120(b *testing.B) {
+	in := gen.Uniform(120, 8, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.PrepareSBO(in, makespan.LPT{}, makespan.LPT{}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.PrepareRLSIndependent(in, engine.DefaultTies...); err != nil {
+			b.Fatal(err)
+		}
+		_ = bounds.ForInstance(in)
 	}
 }
 

@@ -13,6 +13,8 @@
 package bounds
 
 import (
+	"slices"
+
 	"storagesched/internal/dag"
 	"storagesched/internal/model"
 )
@@ -121,9 +123,8 @@ func ForGraph(g *dag.Graph) (Record, error) {
 // recalled in Section 5.2), so this is the exact optimum on independent
 // tasks and a lower bound with precedence constraints.
 func SumCiSPT(p []model.Time, m int) model.Time {
-	sorted := append([]model.Time(nil), p...)
-	// Insertion-free sort: small n dominates usage, stdlib sort fine.
-	sortTimes(sorted)
+	sorted := slices.Clone(p)
+	slices.Sort(sorted)
 	loads := make([]model.Time, m)
 	var total model.Time
 	for _, x := range sorted {
@@ -132,60 +133,6 @@ func SumCiSPT(p []model.Time, m int) model.Time {
 		total += loads[q]
 	}
 	return total
-}
-
-func sortTimes(xs []model.Time) {
-	// Simple branch to keep hot small cases fast.
-	if len(xs) < 2 {
-		return
-	}
-	quickSortTimes(xs, 0, len(xs)-1)
-}
-
-func quickSortTimes(xs []model.Time, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && xs[j] < xs[j-1]; j-- {
-					xs[j], xs[j-1] = xs[j-1], xs[j]
-				}
-			}
-			return
-		}
-		mid := lo + (hi-lo)/2
-		// Median-of-three pivot.
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickSortTimes(xs, lo, j)
-			lo = i
-		} else {
-			quickSortTimes(xs, i, hi)
-			hi = j
-		}
-	}
 }
 
 func argminT(xs []model.Time) int {

@@ -2,6 +2,7 @@ package bounds
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -155,19 +156,22 @@ func TestPropertyLBsAreLowerBounds(t *testing.T) {
 	}
 }
 
-func TestPropertySortTimes(t *testing.T) {
-	f := func(xs []int16) bool {
-		ts := make([]model.Time, len(xs))
+// TestPropertySumCiSPTOrderFree: SumCiSPT sorts a copy of p, so its
+// value does not depend on the input order and p is left as given.
+func TestPropertySumCiSPTOrderFree(t *testing.T) {
+	f := func(xs []uint16, m uint8, seed int64) bool {
+		p := make([]model.Time, len(xs))
 		for i, x := range xs {
-			ts[i] = model.Time(x)
+			p[i] = model.Time(x)
 		}
-		sortTimes(ts)
-		for i := 1; i < len(ts); i++ {
-			if ts[i-1] > ts[i] {
-				return false
-			}
+		procs := 1 + int(m%8)
+		given := slices.Clone(p)
+		want := SumCiSPT(p, procs)
+		if !slices.Equal(p, given) {
+			return false
 		}
-		return true
+		rand.New(rand.NewSource(seed)).Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+		return SumCiSPT(p, procs) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

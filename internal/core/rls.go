@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"storagesched/internal/bounds"
 	"storagesched/internal/dag"
@@ -202,39 +203,89 @@ func (e ErrCapTooSmall) Error() string {
 // tieOrder precomputes the scheduling priority order for a tie-break
 // rule: order[r] is the task scheduled r-th when all else is equal.
 func tieOrder(g *dag.Graph, tie TieBreak) ([]int, error) {
-	var bottom []model.Time
+	o := orderer{p: g.P}
 	if tie == TieBottomLevel {
 		bl, err := g.BottomLevels()
 		if err != nil {
 			return nil, err
 		}
-		bottom = bl
+		o.bottom = bl
 	}
-	return tieOrderFrom(g, tie, bottom)
+	return o.order(tie)
 }
 
-// tieOrderFrom is tieOrder with the bottom levels supplied by the
-// caller (nil unless tie is TieBottomLevel), so prepared sweeps compute
-// them once per graph instead of once per tie-break.
-func tieOrderFrom(g *dag.Graph, tie TieBreak, bottom []model.Time) ([]int, error) {
-	n := g.N()
-	order := make([]int, n)
+// orderer computes tie-break orders with one typed sort per key. The
+// LPT order (decreasing p, index ties) is sorted once and memoized:
+// TieSPT is derived from it, and on independent tasks — where a
+// task's bottom level is its p — TieBottomLevel is the LPT slice
+// itself. Every order is the stable sort of the identity by its key,
+// which is what a (key, index) comparator reproduces.
+type orderer struct {
+	p []model.Time
+	// bottom holds the bottom levels of a task DAG; nil on
+	// independent tasks.
+	bottom []model.Time
+	lpt    []int
+}
+
+func (o *orderer) order(tie TieBreak) ([]int, error) {
+	switch tie {
+	case TieByID:
+		order := make([]int, len(o.p))
+		for i := range order {
+			order[i] = i
+		}
+		return order, nil
+	case TieLPT:
+		return o.byP(), nil
+	case TieSPT:
+		return ascendingRuns(o.byP(), o.p), nil
+	case TieBottomLevel:
+		if o.bottom == nil {
+			return o.byP(), nil
+		}
+		return descendingBy(o.bottom), nil
+	}
+	return nil, fmt.Errorf("core: unknown tie break %d", int(tie))
+}
+
+// byP returns the memoized LPT order.
+func (o *orderer) byP() []int {
+	if o.lpt == nil {
+		o.lpt = descendingBy(o.p)
+	}
+	return o.lpt
+}
+
+// descendingBy returns the task indices sorted by decreasing key,
+// lowest index first among equal keys.
+func descendingBy(key []model.Time) []int {
+	order := make([]int, len(key))
 	for i := range order {
 		order[i] = i
 	}
-	switch tie {
-	case TieByID:
-		// identity
-	case TieSPT:
-		sort.SliceStable(order, func(a, b int) bool { return g.P[order[a]] < g.P[order[b]] })
-	case TieLPT:
-		sort.SliceStable(order, func(a, b int) bool { return g.P[order[a]] > g.P[order[b]] })
-	case TieBottomLevel:
-		sort.SliceStable(order, func(a, b int) bool { return bottom[order[a]] > bottom[order[b]] })
-	default:
-		return nil, fmt.Errorf("core: unknown tie break %d", int(tie))
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(key[b], key[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
+}
+
+// ascendingRuns turns a descendingBy(key) order into the ascending
+// one: the runs of equal key in reverse, each kept in index order.
+func ascendingRuns(desc []int, key []model.Time) []int {
+	asc := make([]int, 0, len(desc))
+	for end := len(desc); end > 0; {
+		start := end - 1
+		for start > 0 && key[desc[start-1]] == key[desc[start]] {
+			start--
+		}
+		asc = append(asc, desc[start:end]...)
+		end = start
 	}
-	return order, nil
+	return asc
 }
 
 // tieRank precomputes the priority rank of every task for a tie-break
@@ -275,10 +326,60 @@ func predCounts(g *dag.Graph) []int {
 	return np
 }
 
+// Both RLS loops keep the processors in a scratch slice sorted by
+// (load, index), so one step costs O(|ready| + m) instead of scanning
+// the m processors twice per ready task:
+//
+//   - the least-loaded memory-feasible processor (lowest index among
+//     equal loads) is the first feasible entry, firstFeasible;
+//   - the processors the Lemma 4 analysis marks for that choice — every
+//     one with a strictly lower load — are the prefix before it that
+//     lowerPrefix measures;
+//   - a placement only raises the chosen processor's load, so it
+//     alone moves right, by raise.
+
+// firstFeasible returns the position in procs of the first processor
+// that can take a task of size s under cap, or -1 when none can.
+func firstFeasible(procs []int, memsize []model.Mem, s, cap model.Mem) int {
+	for pos, j := range procs {
+		if memsize[j]+s <= cap {
+			return pos
+		}
+	}
+	return -1
+}
+
+// lowerPrefix returns how many processors precede position pos of
+// procs with a load strictly below that of procs[pos].
+func lowerPrefix(procs []int, load []model.Time, pos int) int {
+	l := load[procs[pos]]
+	for pos > 0 && load[procs[pos-1]] == l {
+		pos--
+	}
+	return pos
+}
+
+// raise restores the (load, index) order of procs after the load of
+// procs[pos] grew.
+func raise(procs []int, load []model.Time, pos int) {
+	j := procs[pos]
+	for ; pos+1 < len(procs); pos++ {
+		k := procs[pos+1]
+		if load[k] > load[j] || (load[k] == load[j] && k > j) {
+			break
+		}
+		procs[pos] = k
+	}
+	procs[pos] = j
+}
+
 // rlsRanked is the Algorithm 2 loop with a precomputed tie rank and
 // predecessor counts. It never mutates rank or npreds, so prepared
 // sweeps may run it concurrently against shared slices. scr may be nil;
 // only buffers that escape into the result are freshly allocated.
+//
+// Each step scans only the ready list. Rank is a permutation, so the
+// (start, rank) minimum it picks does not depend on the list's order.
 func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*RLSResult, error) {
 	scr, pooled := borrowScratch(scr)
 	defer releaseScratch(scr, pooled)
@@ -291,65 +392,64 @@ func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*
 
 	load := scr.loads(m)
 	memsize := scr.mems(m)
+	procs := scr.procOrder(m)
 	marked := make([]bool, m) // escapes via RLSResult.Marked
-	done := scr.doneBuf(n)
 	pendingPreds := scr.predsBuf(npreds)
 	readyTime := scr.readyBuf(n) // max over preds of completion
+	ready := scr.readyList(n)
+	for i, c := range pendingPreds {
+		if c == 0 {
+			ready = append(ready, i)
+		}
+	}
 	var sumCi model.Time
 
-	const inf = model.Time(math.MaxInt64)
 	for scheduled := 0; scheduled < n; scheduled++ {
-		bestTask, bestProc := -1, -1
-		bestStart := inf
-		for i := 0; i < n; i++ {
-			if done[i] || pendingPreds[i] != 0 {
-				continue
-			}
-			// Least-loaded processor that respects the memory cap.
-			proc := -1
-			for j := 0; j < m; j++ {
-				if memsize[j]+g.S[i] > cap {
-					continue
-				}
-				if proc == -1 || load[j] < load[proc] {
-					proc = j
-				}
-			}
-			if proc == -1 {
+		best, bestPos := -1, -1 // index into ready, position in procs
+		var bestStart model.Time
+		markTo := 0
+		for r, i := range ready {
+			pos := firstFeasible(procs, memsize, g.S[i], cap)
+			if pos < 0 {
 				// No processor can take this task. Another ready
 				// task might still fit; defer i.
 				continue
 			}
 			// Analysis bookkeeping (Lemma 4): every processor with a
 			// smaller load than the chosen one was skipped because
-			// of memory.
-			for j := 0; j < m; j++ {
-				if load[j] < load[proc] {
-					marked[j] = true
-				}
+			// of memory. The marked sets of one step are nested
+			// prefixes of procs, so the longest covers them all.
+			if k := lowerPrefix(procs, load, pos); k > markTo {
+				markTo = k
 			}
-			start := readyTime[i]
-			if load[proc] > start {
-				start = load[proc]
-			}
-			if start < bestStart || (start == bestStart && (bestTask == -1 || rank[i] < rank[bestTask])) {
-				bestTask, bestProc, bestStart = i, proc, start
+			start := max(readyTime[i], load[procs[pos]])
+			if best < 0 || start < bestStart || (start == bestStart && rank[i] < rank[ready[best]]) {
+				best, bestPos, bestStart = r, pos, start
 			}
 		}
-		if bestTask == -1 {
-			return nil, ErrCapTooSmall{Task: firstUnscheduled(done), Cap: cap}
+		if best < 0 {
+			return nil, ErrCapTooSmall{Task: firstUnscheduled(sc.Proc), Cap: cap}
 		}
-		i := bestTask
-		sc.Proc[i] = bestProc
+		for _, j := range procs[:markTo] {
+			marked[j] = true
+		}
+		i := ready[best]
+		ready[best] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		proc := procs[bestPos]
+		end := bestStart + g.P[i]
+		sc.Proc[i] = proc
 		sc.Start[i] = bestStart
-		load[bestProc] = bestStart + g.P[i]
-		memsize[bestProc] += g.S[i]
-		sumCi += bestStart + g.P[i]
-		done[i] = true
+		load[proc] = end
+		memsize[proc] += g.S[i]
+		raise(procs, load, bestPos)
+		sumCi += end
 		for _, w := range g.Succs(i) {
-			pendingPreds[w]--
-			if c := bestStart + g.P[i]; c > readyTime[w] {
-				readyTime[w] = c
+			if end > readyTime[w] {
+				readyTime[w] = end
+			}
+			if pendingPreds[w]--; pendingPreds[w] == 0 {
+				ready = append(ready, w)
 			}
 		}
 	}
@@ -368,13 +468,10 @@ func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*
 	return res, nil
 }
 
-func firstUnscheduled(done []bool) int {
-	for i, d := range done {
-		if !d {
-			return i
-		}
-	}
-	return -1
+// firstUnscheduled returns the lowest task that proc leaves unplaced
+// (model.NewSchedule starts every task at -1).
+func firstUnscheduled(proc []int) int {
+	return slices.Index(proc, -1)
 }
 
 // RLSIndependent runs the Section 5.2 independent-task variant: tasks
@@ -421,7 +518,8 @@ func RLSIndependentWithCap(in *model.Instance, cap model.Mem, tie TieBreak) (*RL
 }
 
 func rlsIndependentWithCap(in *model.Instance, cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	order, err := tieOrder(dag.FromInstance(in), tie)
+	o := orderer{p: in.P()}
+	order, err := o.order(tie)
 	if err != nil {
 		return nil, err
 	}
@@ -443,31 +541,25 @@ func rlsIndependentOrdered(in *model.Instance, order []int, cap model.Mem, scr *
 	}
 	load := scr.loads(m)
 	memsize := scr.mems(m)
+	procs := scr.procOrder(m)
 	marked := make([]bool, m) // escapes via RLSResult.Marked
 	var sumCi model.Time
 	for _, i := range order {
 		t := in.Tasks[i]
-		proc := -1
-		for j := 0; j < m; j++ {
-			if memsize[j]+t.S > cap {
-				continue
-			}
-			if proc == -1 || load[j] < load[proc] {
-				proc = j
-			}
-		}
-		if proc == -1 {
+		pos := firstFeasible(procs, memsize, t.S, cap)
+		if pos < 0 {
 			return nil, ErrCapTooSmall{Task: i, Cap: cap}
 		}
-		for j := 0; j < m; j++ {
-			if load[j] < load[proc] {
-				marked[j] = true
-			}
+		// Lemma 4 bookkeeping, as in rlsRanked.
+		for _, j := range procs[:lowerPrefix(procs, load, pos)] {
+			marked[j] = true
 		}
+		proc := procs[pos]
 		sc.Proc[i] = proc
 		sc.Start[i] = load[proc]
 		load[proc] += t.P
 		memsize[proc] += t.S
+		raise(procs, load, pos)
 		sumCi += load[proc]
 	}
 	return &RLSResult{
@@ -493,7 +585,8 @@ type RLSPrepared struct {
 
 // PrepareRLSIndependent validates the instance and precomputes the
 // scheduling orders for the given tie-breaks (all four when none are
-// given).
+// given). It sorts by p once: a task's bottom level is its p, so
+// TieBottomLevel shares TieLPT's order, and TieSPT is derived from it.
 func PrepareRLSIndependent(in *model.Instance, ties ...TieBreak) (*RLSPrepared, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -501,13 +594,13 @@ func PrepareRLSIndependent(in *model.Instance, ties ...TieBreak) (*RLSPrepared, 
 	if len(ties) == 0 {
 		ties = []TieBreak{TieByID, TieSPT, TieLPT, TieBottomLevel}
 	}
-	g := dag.FromInstance(in)
+	o := orderer{p: in.P()}
 	orders := make(map[TieBreak][]int, len(ties))
 	for _, tie := range ties {
 		if _, ok := orders[tie]; ok {
 			continue
 		}
-		order, err := tieOrder(g, tie)
+		order, err := o.order(tie)
 		if err != nil {
 			return nil, err
 		}
@@ -570,14 +663,13 @@ func (prep *RLSPrepared) RunWithCap(cap model.Mem, tie TieBreak) (*RLSResult, er
 
 // RLSGraphPrepared memoizes the δ-independent work of RLS on a task
 // DAG — validation (including the topological cycle check), the Graham
-// memory lower bound, the bottom levels and the tie-break ranks — so a
+// memory lower bound and the tie-break ranks — so a
 // δ-sweep pays each exactly once per graph. The prepared value is
 // immutable after PrepareRLS and safe for concurrent Run calls.
 type RLSGraphPrepared struct {
 	g      *dag.Graph
 	lb     model.Mem
 	npreds []int
-	bottom []model.Time
 	ranks  map[TieBreak][]int
 }
 
@@ -597,18 +689,19 @@ func PrepareRLS(g *dag.Graph, ties ...TieBreak) (*RLSGraphPrepared, error) {
 		npreds: predCounts(g),
 		ranks:  make(map[TieBreak][]int, len(ties)),
 	}
+	o := orderer{p: g.P}
 	for _, tie := range ties {
 		if _, ok := prep.ranks[tie]; ok {
 			continue
 		}
-		if tie == TieBottomLevel && prep.bottom == nil {
+		if tie == TieBottomLevel && o.bottom == nil {
 			bl, err := g.BottomLevels()
 			if err != nil {
 				return nil, err
 			}
-			prep.bottom = bl
+			o.bottom = bl
 		}
-		order, err := tieOrderFrom(g, tie, prep.bottom)
+		order, err := o.order(tie)
 		if err != nil {
 			return nil, err
 		}

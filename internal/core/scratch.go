@@ -7,17 +7,19 @@ import (
 )
 
 // Scratch holds the reusable non-escaping buffers of the solver loops —
-// per-processor loads and memory sizes, and the Algorithm 2 ready-set
-// bookkeeping — so a warm sweep performs O(1) allocations per
-// (item, δ) job instead of O(n). A Scratch is not safe for concurrent
-// use; hold one per worker (the sweep engine does) or pass nil to let
-// the solver borrow one from an internal sync.Pool.
+// per-processor loads and memory sizes, the processor order both RLS
+// loops keep sorted by load, and the Algorithm 2 ready-list
+// bookkeeping — so a warm sweep performs O(1) allocations per (item, δ)
+// job instead of O(n). A Scratch is not safe for concurrent use; hold
+// one per worker (the sweep engine does) or pass nil to let the solver
+// borrow one from an internal sync.Pool.
 type Scratch struct {
-	load  []model.Time
-	mem   []model.Mem
-	done  []bool
-	preds []int
-	ready []model.Time
+	load   []model.Time
+	mem    []model.Mem
+	procs  []int
+	preds  []int
+	ready  []model.Time
+	readyQ []int
 }
 
 // NewScratch returns an empty scratch; its buffers grow on first use
@@ -61,13 +63,16 @@ func (scr *Scratch) mems(n int) []model.Mem {
 	return s
 }
 
-// doneBuf returns a zeroed bool buffer of length n.
-func (scr *Scratch) doneBuf(n int) []bool {
-	if cap(scr.done) < n {
-		scr.done = make([]bool, n)
+// procOrder returns the processors 0..m-1 in index order — the
+// (load, index) order of m idle processors.
+func (scr *Scratch) procOrder(m int) []int {
+	if cap(scr.procs) < m {
+		scr.procs = make([]int, m)
 	}
-	s := scr.done[:n]
-	clear(s)
+	s := scr.procs[:m]
+	for j := range s {
+		s[j] = j
+	}
 	return s
 }
 
@@ -91,6 +96,15 @@ func (scr *Scratch) readyBuf(n int) []model.Time {
 	s := scr.ready[:n]
 	clear(s)
 	return s
+}
+
+// readyList returns an empty int buffer with room for n tasks, the
+// Algorithm 2 ready list.
+func (scr *Scratch) readyList(n int) []int {
+	if cap(scr.readyQ) < n {
+		scr.readyQ = make([]int, 0, n)
+	}
+	return scr.readyQ[:0]
 }
 
 // maxTimeOf returns the maximum of a non-empty Time slice, 0 for empty.

@@ -265,11 +265,10 @@ func (st *batchState) prepare() {
 	st.bounds = bounds.ForInstance(st.in)
 }
 
-// executeJob runs one job of this item against the memoized prepared
+// executeJob runs job j of this item against the memoized prepared
 // state, dispatching on the item kind. scr is the worker's reusable
 // scratch, shared across every job the worker executes.
-func (st *batchState) executeJob(idx int, scr *core.Scratch) Run {
-	j := st.jobs[idx]
+func (st *batchState) executeJob(j job, scr *core.Scratch) Run {
 	if st.g == nil {
 		return execute(j, st.prepSBO, st.prepRLS, scr)
 	}
@@ -302,9 +301,15 @@ func (bj batchJob) run(scr *core.Scratch) {
 			st.met.memoHit()
 		}
 		if st.err == nil {
+			j := st.jobs[bj.idx]
 			t0 := st.met.jobStart()
-			st.runs[bj.idx] = st.executeJob(bj.idx, scr)
+			run := st.executeJob(j, scr)
 			st.met.jobEnd(t0)
+			st.runs[j.slot] = run
+			if j.twin >= 0 {
+				run.Tie = core.TieBottomLevel
+				st.runs[j.twin] = run
+			}
 		}
 		if testHookAfterRun != nil {
 			testHookAfterRun()
@@ -322,7 +327,7 @@ func (bj batchJob) run(scr *core.Scratch) {
 // emission. A jobless item — cache hit or invalid grid — is done at
 // once.
 func (st *batchState) layout(c *cache.Cache) {
-	jobs, err := buildJobs(st.cfg, st.g != nil)
+	jobs, slots, err := buildJobs(st.cfg, st.g != nil)
 	if err != nil {
 		st.err = err
 		close(st.done)
@@ -340,7 +345,7 @@ func (st *batchState) layout(c *cache.Cache) {
 		st.writeBack = true
 	}
 	st.jobs = jobs
-	st.runs = make([]Run, len(jobs))
+	st.runs = make([]Run, slots)
 	st.remaining.Store(int64(len(jobs)))
 }
 

@@ -24,6 +24,16 @@ import (
 	"storagesched/internal/model"
 )
 
+// fingerprintVersion prefixes every config fingerprint; bump it when
+// the wire format or the semantics of a sweep change, so entries
+// written by older code become misses.
+const fingerprintVersion = "fp1"
+
+// resultDigest is the SHA-256 of the cold-sweep wire bytes of a fixed
+// corpus under fingerprintVersion (TestCacheFingerprintPinned). A
+// solver change that moves it must bump fingerprintVersion too.
+const resultDigest = "6d0c2d7f82f262c000b0397c148c9570180eecd790ecd523110b6bbca6fa5420"
+
 // configFingerprint renders the result-determining part of an
 // effective sweep config for a given item kind. It is deliberately
 // *normalized*: fields that cannot influence the item's Result —
@@ -33,7 +43,7 @@ import (
 // cache entries.
 func configFingerprint(cfg Config, graph bool) string {
 	var b strings.Builder
-	b.WriteString("fp1") // bump when the wire format or semantics change
+	b.WriteString(fingerprintVersion)
 	if graph {
 		b.WriteString("|graph")
 	}

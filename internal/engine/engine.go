@@ -10,7 +10,8 @@
 //
 //   - every (algorithm, δ) pair on the grid is an independent job,
 //     executed by a pool of Config.Workers goroutines (default
-//     runtime.NumCPU());
+//     runtime.NumCPU()); pairs that are the same schedule — RLS with
+//     the BLevel and LPT tie-breaks on an instance — run once;
 //   - per-instance quantities — validation, the Graham lower bounds,
 //     the SBO sub-schedules π1/π2 and the RLS tie-break orders — are
 //     memoized once per sweep (core.SBOPrepared, core.RLSPrepared)
@@ -40,6 +41,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 	"sort"
 
 	"storagesched/internal/bounds"
@@ -116,7 +118,9 @@ type Run struct {
 	Assignment model.Assignment
 
 	// SBO / RLS retain the full per-run analysis record of the
-	// algorithm that ran (exactly one is non-nil on success).
+	// algorithm that ran (exactly one is non-nil on success). On an
+	// instance item the BLevel run at a δ is a copy of the LPT run
+	// there (buildJobs) and shares its Assignment and RLS record.
 	SBO *core.SBOResult
 	RLS *core.RLSResult
 
@@ -219,11 +223,15 @@ func checkGrid(lo, hi float64, n int) error {
 // deterministically.
 var testHookAfterRun func()
 
-// job is one scheduled evaluation; index is its slot in Result.Runs.
+// job is one scheduled evaluation. slot is the index of its Run in
+// Result.Runs; twin, unless -1, is a second slot that receives a copy
+// of the Run, relabelled TieBottomLevel (see buildJobs).
 type job struct {
 	alg   Algorithm
 	tie   core.TieBreak
 	delta float64
+	slot  int
+	twin  int
 }
 
 // Sweep evaluates the configured algorithms over the δ-grid with a
@@ -266,47 +274,87 @@ func sweepOne(ctx context.Context, items iter.Seq[BatchItem], cfg Config) (*Resu
 	return out, nil
 }
 
-// buildJobs lays out the deterministic job list: grid-major, SBO then
-// the tie-breaks at each δ. Graph items run the RLS family only — SBO
+// buildJobs lays out the deterministic run slots — grid-major, SBO
+// then the tie-breaks at each δ — and returns the jobs that fill them
+// with the slot count. Graph items run the RLS family only — SBO
 // (Algorithm 1) is defined on independent tasks — so for them the grid
 // needs at least one δ ≥ 2 and SkipRLS is an error.
-func buildJobs(cfg Config, graph bool) ([]job, error) {
+//
+// Each distinct schedule runs once. On an instance item a task's
+// bottom level is its p, so RLS(δ, BLevel) is the same run as
+// RLS(δ, LPT): core.PrepareRLSIndependent hands both tie-breaks one
+// order. When both are selected, the BLevel slot gets no job of its
+// own; the LPT job copies its Run there, witness included.
+func buildJobs(cfg Config, graph bool) ([]job, int, error) {
 	if len(cfg.Deltas) == 0 {
-		return nil, fmt.Errorf("engine: empty delta grid")
+		return nil, 0, fmt.Errorf("engine: empty delta grid")
 	}
 	for _, d := range cfg.Deltas {
 		if !(d > 0) || math.IsInf(d, 0) {
-			return nil, fmt.Errorf("engine: delta = %g, need finite delta > 0", d)
+			return nil, 0, fmt.Errorf("engine: delta = %g, need finite delta > 0", d)
 		}
 	}
 	if graph && cfg.SkipRLS {
-		return nil, fmt.Errorf("engine: graph sweeps run only the RLS family, but SkipRLS is set")
+		return nil, 0, fmt.Errorf("engine: graph sweeps run only the RLS family, but SkipRLS is set")
 	}
 	if cfg.SkipSBO && cfg.SkipRLS {
-		return nil, fmt.Errorf("engine: both algorithm families skipped")
+		return nil, 0, fmt.Errorf("engine: both algorithm families skipped")
 	}
 	ties := cfg.Ties
 	if ties == nil {
 		ties = DefaultTies
 	}
-	var jobs []job
+	aliasBL := !graph && slices.Contains(ties, core.TieLPT)
+	// Size the list exactly: a cache hit lays it out and drops it.
+	perSBO, perRLS := 0, 0
+	if !cfg.SkipSBO && !graph {
+		perSBO = 1
+	}
+	if !cfg.SkipRLS {
+		perRLS = len(ties)
+		if aliasBL && slices.Contains(ties, core.TieBottomLevel) {
+			perRLS--
+		}
+	}
+	n := 0
+	for _, d := range cfg.Deltas {
+		n += perSBO
+		if d >= 2 {
+			n += perRLS
+		}
+	}
+	jobs := make([]job, 0, n)
+	slots := 0
 	for _, d := range cfg.Deltas {
 		if !cfg.SkipSBO && !graph {
-			jobs = append(jobs, job{alg: AlgSBO, delta: d})
+			jobs = append(jobs, job{alg: AlgSBO, delta: d, slot: slots, twin: -1})
+			slots++
 		}
 		if !cfg.SkipRLS && d >= 2 {
+			lpt, bl := -1, -1
 			for _, tie := range ties {
-				jobs = append(jobs, job{alg: AlgRLS, tie: tie, delta: d})
+				if aliasBL && tie == core.TieBottomLevel && bl < 0 {
+					bl = slots
+				} else {
+					if tie == core.TieLPT && lpt < 0 {
+						lpt = len(jobs)
+					}
+					jobs = append(jobs, job{alg: AlgRLS, tie: tie, delta: d, slot: slots, twin: -1})
+				}
+				slots++
+			}
+			if bl >= 0 {
+				jobs[lpt].twin = bl
 			}
 		}
 	}
 	if len(jobs) == 0 {
 		if graph {
-			return nil, fmt.Errorf("engine: graph sweep selects no runs (RLS needs some delta >= 2)")
+			return nil, 0, fmt.Errorf("engine: graph sweep selects no runs (RLS needs some delta >= 2)")
 		}
-		return nil, fmt.Errorf("engine: sweep selects no runs (RLS needs some delta >= 2)")
+		return nil, 0, fmt.Errorf("engine: sweep selects no runs (RLS needs some delta >= 2)")
 	}
-	return jobs, nil
+	return jobs, slots, nil
 }
 
 func hasRLS(jobs []job) bool {

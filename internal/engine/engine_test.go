@@ -178,6 +178,55 @@ func TestSweepRLSMatchesUnprepared(t *testing.T) {
 	}
 }
 
+// TestSweepRunsEachDistinctScheduleOnce: on instance items the BLevel
+// slot is filled by a copy of the LPT run, whatever the tie order, so
+// the job list is one shorter per δ while every Run — the copied ones
+// included — still equals the direct core.RLSIndependent call of its
+// own label, full analysis record and all.
+func TestSweepRunsEachDistinctScheduleOnce(t *testing.T) {
+	in := gen.Correlated(60, 5, 4)
+	deltas := []float64{2, 3.5}
+	for _, c := range []struct {
+		ties []core.TieBreak
+		jobs int // jobs per δ
+	}{
+		{DefaultTies, 3},
+		{[]core.TieBreak{core.TieBottomLevel, core.TieLPT}, 1},
+		{[]core.TieBreak{core.TieBottomLevel, core.TieSPT}, 2},
+		{[]core.TieBreak{core.TieLPT, core.TieBottomLevel, core.TieBottomLevel}, 2},
+	} {
+		cfg := Config{Deltas: deltas, SkipSBO: true, Ties: c.ties, Workers: 3}
+		jobs, slots, err := buildJobs(cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(jobs) != c.jobs*len(deltas) || cap(jobs) != len(jobs) || slots != len(c.ties)*len(deltas) {
+			t.Errorf("ties %v: %d jobs (cap %d) over %d slots, want %d over %d",
+				c.ties, len(jobs), cap(jobs), slots, c.jobs*len(deltas), len(c.ties)*len(deltas))
+		}
+		if graphJobs, _, _ := buildJobs(cfg, true); len(graphJobs) != slots {
+			t.Errorf("ties %v: graph items run %d jobs, want one per slot (%d)", c.ties, len(graphJobs), slots)
+		}
+		res, err := Sweep(context.Background(), in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, r := range res.Runs {
+			if want := c.ties[k%len(c.ties)]; r.Tie != want || r.Delta != deltas[k/len(c.ties)] {
+				t.Fatalf("ties %v: run %d is %s, want tie %s", c.ties, k, r.Label(), want)
+			}
+			direct, err := core.RLSIndependent(in, r.Delta, r.Tie)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Value != (model.Value{Cmax: direct.Cmax, Mmax: direct.Mmax}) ||
+				!reflect.DeepEqual(r.Assignment, direct.Schedule.Assignment()) || !reflect.DeepEqual(r.RLS, direct) {
+				t.Errorf("ties %v: %s differs from the direct run", c.ties, r.Label())
+			}
+		}
+	}
+}
+
 func TestSweepCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -41,7 +41,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		inFlight: reg.Gauge("sched_engine_jobs_inflight",
 			"jobs executing on a worker right now"),
 		jobs: reg.Counter("sched_engine_jobs_total",
-			"jobs executed (one per item, algorithm, delta evaluation)"),
+			"jobs executed (one per distinct item, algorithm, delta evaluation)"),
 		memoHits: reg.Counter("sched_engine_prepared_memo_hits_total",
 			"jobs that found their item's prepared state already memoized"),
 		jobSeconds: reg.Histogram("sched_engine_job_seconds",

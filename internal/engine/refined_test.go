@@ -181,7 +181,7 @@ func TestSweepBatchRefinedCancelQuiesce(t *testing.T) {
 
 func mustJobs(t *testing.T, cfg Config) []job {
 	t.Helper()
-	jobs, err := buildJobs(cfg, false)
+	jobs, _, err := buildJobs(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,9 @@
 package makespan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"storagesched/internal/model"
 )
@@ -96,11 +97,11 @@ func descendingOrder(sizes []Size) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if sizes[order[a]] != sizes[order[b]] {
-			return sizes[order[a]] > sizes[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(sizes[b], sizes[a]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	return order
 }

@@ -348,8 +348,14 @@ func TestAdaptiveCancelQuiesce(t *testing.T) {
 	rcfg := Config{Gap: 0.01, MaxPoints: 64}
 	cfg := adaptiveConfig(1)
 	full := collectAdaptive(t, items, cfg, rcfg)
+	// The coarse phase runs fewer jobs than it has runs (each BLevel
+	// run is a copy of the LPT one), so its job count, not its run
+	// count, marks where the refinement phase starts.
 	var coarseRuns int64
-	if err := engine.SweepBatch(context.Background(), sliceSeq(items), cfg, func(br engine.BatchResult) error {
+	coarseReg := metrics.NewRegistry()
+	coarseCfg := cfg
+	coarseCfg.Metrics = engine.NewMetrics(coarseReg)
+	if err := engine.SweepBatch(context.Background(), sliceSeq(items), coarseCfg, func(br engine.BatchResult) error {
 		if br.Err == nil {
 			coarseRuns = int64(len(br.Result.Runs))
 		}
@@ -357,6 +363,7 @@ func TestAdaptiveCancelQuiesce(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	coarseJobs := coarseReg.Counter("sched_engine_jobs_total", "").Value()
 	if int64(len(full[0].Result.Runs)) < coarseRuns+100 {
 		t.Fatalf("%d refined runs; the item should refine at length", int64(len(full[0].Result.Runs))-coarseRuns)
 	}
@@ -377,7 +384,7 @@ func TestAdaptiveCancelQuiesce(t *testing.T) {
 		// Cancel once the first refinement job has run: the feeder is
 		// then handing the rest, one by one, to the busy worker.
 		deadline := time.Now().Add(10 * time.Second)
-		for jobs.Value() <= coarseRuns {
+		for jobs.Value() <= coarseJobs {
 			if time.Now().After(deadline) {
 				t.Error("the refinement phase never started")
 				break

@@ -15,7 +15,9 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -312,6 +314,34 @@ func BenchmarkSweepBatchCachedCold_n50(b *testing.B) {
 			func(br engine.BatchResult) error { return br.Err })
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepBatchCachedColdDir_n50 is the cold path over the disk
+// tier: a fresh cache over an empty DirStore directory per iteration,
+// so every front also pays its DirStore.Put (temp file, write, close,
+// rename) on the emitter.
+func BenchmarkSweepBatchCachedColdDir_n50(b *testing.B) {
+	ins, cfg := sweepBatchWorkload(b)
+	ctx := context.Background()
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := cache.New(cache.Config{Dir: filepath.Join(root, strconv.Itoa(i))})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		err = engine.SweepBatch(ctx, engine.BatchOf(ins...), engine.BatchConfig{Config: cfg, Cache: c},
+			func(br engine.BatchResult) error { return br.Err })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := c.Stats(); st.Puts != int64(len(ins)) || st.WriteErrors != 0 {
+			b.Fatalf("cold run stored %d fronts with %d write errors, want %d and 0", st.Puts, st.WriteErrors, len(ins))
 		}
 	}
 }

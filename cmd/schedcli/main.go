@@ -264,8 +264,8 @@ func runSweepBatch(args []string, stdin io.Reader, w io.Writer) error {
 	st, err := session.Sweep(context.Background(), items, spec, bw)
 	if fcache != nil {
 		cst := fcache.Stats()
-		fmt.Fprintf(os.Stderr, "schedcli: cache %d hits (%d mem, %d disk), %d misses, %d evictions\n",
-			cst.Hits, cst.MemHits, cst.DiskHits, cst.Misses, cst.Evictions)
+		fmt.Fprintf(os.Stderr, "schedcli: cache %d hits (%d mem, %d disk), %d misses (%d rejected), %d evictions\n",
+			cst.Hits, cst.MemHits, cst.DiskHits, cst.Misses, cst.Rejected, cst.Evictions)
 	}
 	if *stats {
 		// The registry snapshot goes to stderr so the JSONL fronts on

@@ -167,11 +167,16 @@ const DefaultMemBytes int64 = 64 << 20
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	// Hits and Misses count Get outcomes; Hits = MemHits + DiskHits.
+	// Hits and Misses count Get outcomes, net of rejections: a value
+	// the caller rejects (Reject) counts as a miss.
 	Hits, Misses int64
-	// MemHits and DiskHits attribute hits to their tier (DiskHits
-	// counts the persistent BlobStore tier, whatever backs it).
+	// MemHits and DiskHits attribute Get's hits to their tier (DiskHits
+	// counts the persistent BlobStore tier, whatever backs it),
+	// rejected ones included: MemHits + DiskHits = Hits + Rejected.
 	MemHits, DiskHits int64
+	// Rejected counts values Get returned that the caller then
+	// rejected as unusable.
+	Rejected int64
 	// Puts counts stored values; Evictions counts LRU removals.
 	Puts, Evictions int64
 	// WriteErrors counts failed best-effort disk writes (the cache
@@ -208,6 +213,7 @@ type Cache struct {
 	pol lifecycleDefaults
 
 	hits, misses, memHits, diskHits     atomic.Int64
+	rejected                            atomic.Int64
 	puts, evictions, writeErrors        atomic.Int64
 	gcRuns, gcEvictions, gcEvictedBytes atomic.Int64
 	gcTmpRemoved, gcVerifyRemoved       atomic.Int64
@@ -312,6 +318,30 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 	return nil, false
 }
 
+// Reject records that the value Get just returned for key is unusable
+// (it does not decode, or fails the caller's checks): the hit counts as
+// a miss and as Rejected, and the memory tier drops its copy, so the
+// next Get goes back to the persistent tier. The caller recomputes the
+// value and Puts it, which replaces the persistent copy.
+func (c *Cache) Reject(key Key) {
+	if c == nil {
+		return
+	}
+	c.hits.Add(-1)
+	c.misses.Add(1)
+	c.rejected.Add(1)
+	if c.cap == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		c.unlink(e)
+		delete(c.entries, key)
+		c.bytes -= int64(len(e.val))
+	}
+}
+
 // Put stores val at key in every configured tier. Disk writes are
 // best-effort and atomic: failures are counted in Stats.WriteErrors
 // and the entry simply stays absent. val must not be mutated by the
@@ -341,6 +371,7 @@ func (c *Cache) Stats() Stats {
 		Misses:          c.misses.Load(),
 		MemHits:         c.memHits.Load(),
 		DiskHits:        c.diskHits.Load(),
+		Rejected:        c.rejected.Load(),
 		Puts:            c.puts.Load(),
 		Evictions:       c.evictions.Load(),
 		WriteErrors:     c.writeErrors.Load(),

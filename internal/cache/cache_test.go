@@ -226,8 +226,34 @@ func TestNilCacheIsCachingOff(t *testing.T) {
 		t.Error("nil cache hit")
 	}
 	c.Put(testKey(0), []byte("v"))
+	c.Reject(testKey(0))
 	if st := c.Stats(); st != (Stats{}) {
 		t.Errorf("nil cache stats = %+v", st)
+	}
+}
+
+// Reject turns the hit Get just counted into a miss and drops the
+// memory-tier copy, leaving the other entries alone.
+func TestRejectTurnsHitIntoMiss(t *testing.T) {
+	c, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(testKey(1), []byte("bad"))
+	c.Put(testKey(2), []byte("good"))
+	if _, ok := c.Get(testKey(1)); !ok {
+		t.Fatal("planted value missed")
+	}
+	c.Reject(testKey(1))
+	st := c.Stats()
+	if st.Hits != 0 || st.Misses != 1 || st.Rejected != 1 || st.MemHits != 1 || st.MemBytes != int64(len("good")) {
+		t.Errorf("stats after Reject = %+v", st)
+	}
+	if _, ok := c.Get(testKey(1)); ok {
+		t.Error("rejected value still in the memory tier")
+	}
+	if _, ok := c.Get(testKey(2)); !ok || c.Len() != 1 {
+		t.Errorf("Reject disturbed another entry (len %d)", c.Len())
 	}
 }
 

@@ -22,7 +22,7 @@ func (c *Cache) RegisterMetrics(reg *metrics.Registry) {
 		"memory-tier entries resident right now",
 		func() int64 { return int64(c.Len()) })
 	reg.CounterFunc("sched_cache_hits_total",
-		"Get calls served from either tier",
+		"Get calls served from either tier and not rejected",
 		c.hits.Load)
 	reg.CounterFunc("sched_cache_mem_hits_total",
 		"Get calls served from the memory tier",
@@ -31,8 +31,11 @@ func (c *Cache) RegisterMetrics(reg *metrics.Registry) {
 		"Get calls served from the disk tier",
 		c.diskHits.Load)
 	reg.CounterFunc("sched_cache_misses_total",
-		"Get calls served by neither tier",
+		"Get calls served by neither tier, or served and rejected",
 		c.misses.Load)
+	reg.CounterFunc("sched_cache_rejected_total",
+		"values served by a tier but rejected by the caller (counted as misses)",
+		c.rejected.Load)
 	reg.CounterFunc("sched_cache_puts_total",
 		"values stored",
 		c.puts.Load)

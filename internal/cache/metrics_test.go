@@ -40,6 +40,7 @@ func TestRegisterMetricsReadsLiveCounters(t *testing.T) {
 		"sched_cache_mem_hits_total":     st.MemHits,
 		"sched_cache_disk_hits_total":    st.DiskHits,
 		"sched_cache_misses_total":       st.Misses,
+		"sched_cache_rejected_total":     st.Rejected,
 		"sched_cache_puts_total":         st.Puts,
 		"sched_cache_evictions_total":    st.Evictions,
 		"sched_cache_write_errors_total": st.WriteErrors,

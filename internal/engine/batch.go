@@ -124,10 +124,11 @@ type BatchConfig struct {
 	// the Front — but carry nil per-run witness payloads (Assignment,
 	// SBO, RLS), which are too large to cache profitably; sweep summary
 	// output is byte-identical either way, and BatchResult.CacheHit
-	// tells the cases apart. A corrupt or undecodable entry is a miss —
-	// the item is computed and the entry overwritten. The cache may be
-	// shared across batches, goroutines and (via its disk tier) shard
-	// processes.
+	// tells the cases apart. An entry that does not decode, fails the
+	// entry checks (checkResult) or does not fit the item's job layout
+	// is a miss, counted by cache.Reject — the item is computed and the
+	// entry overwritten. The cache may be shared across batches,
+	// goroutines and (via its disk tier) shard processes.
 	Cache *cache.Cache
 }
 
@@ -321,12 +322,14 @@ func (bj batchJob) run(scr *core.Scratch) {
 }
 
 // layout lays out the item's jobs for its current config. Admission
-// consults the cache before job generation: a decodable hit makes the
-// item jobless and its Result streams out in the usual order, while a
-// miss (or a corrupt entry) records the key for write-back at
-// emission. A jobless item — cache hit or invalid grid — is done at
+// consults the cache before job generation: a hit that decodes and
+// fits the layout (checkLayout) makes the item jobless and its Result
+// streams out in the usual order, while a miss — or a rejected entry,
+// which c.Reject turns into one — records the key for write-back at
+// emission. fp is the config fingerprint of the item's key; "" means
+// compute it. A jobless item — cache hit or invalid grid — is done at
 // once.
-func (st *batchState) layout(c *cache.Cache) {
+func (st *batchState) layout(c *cache.Cache, fp string) {
 	jobs, slots, err := buildJobs(st.cfg, st.g != nil)
 	if err != nil {
 		st.err = err
@@ -334,19 +337,35 @@ func (st *batchState) layout(c *cache.Cache) {
 		return
 	}
 	if c != nil {
-		st.key = itemKey(st)
+		if fp == "" {
+			fp = configFingerprint(st.cfg, st.g != nil)
+		}
+		st.key = itemKey(st, fp)
 		if data, ok := c.Get(st.key); ok {
-			if res, derr := decodeResult(data); derr == nil {
+			res, derr := decodeResult(data)
+			if derr == nil {
+				derr = checkLayout(res, st.m(), jobs, slots)
+			}
+			if derr == nil {
 				st.cached = res
 				close(st.done)
 				return
 			}
+			c.Reject(st.key)
 		}
 		st.writeBack = true
 	}
 	st.jobs = jobs
 	st.runs = make([]Run, slots)
 	st.remaining.Store(int64(len(jobs)))
+}
+
+// m is the item's processor count.
+func (st *batchState) m() int {
+	if st.g != nil {
+		return st.g.M
+	}
+	return st.in.M
 }
 
 // assemble builds the Result of the item's finished jobs.
@@ -417,7 +436,7 @@ func (st *batchState) refine(plan Planner, c *cache.Cache) (*refinement, error) 
 	st.cfg.Deltas = grid
 	st.cached, st.writeBack, st.jobs, st.runs = nil, false, nil, nil
 	st.done = make(chan struct{})
-	st.layout(c)
+	st.layout(c, "")
 	if st.g == nil && st.prepRLS == nil && hasRLS(st.jobs) {
 		// The coarse jobs ran no RLS, so neither did the preparation;
 		// prepare afresh for a grid that does. (refine.Grid never plans
@@ -582,6 +601,22 @@ func sweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 	go func() {
 		defer close(prodDone)
 		defer close(admitted)
+		// Items without an Override share the batch config's
+		// fingerprint, one per item kind, computed on first use.
+		var baseFP [2]string
+		fingerprint := func(st *batchState, override bool) string {
+			if cfg.Cache == nil || override {
+				return ""
+			}
+			kind := 0
+			if st.g != nil {
+				kind = 1
+			}
+			if baseFP[kind] == "" {
+				baseFP[kind] = configFingerprint(cfg.Config, st.g != nil)
+			}
+			return baseFP[kind]
+		}
 		index := 0
 		for item := range items {
 			st := &batchState{index: index, in: item.Instance, g: item.Graph, tag: item.Tag, ctx: pctx, met: cfg.Metrics, done: make(chan struct{})}
@@ -603,7 +638,7 @@ func sweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 				st.err = fmt.Errorf("engine: batch item %d has both instance and graph", st.index)
 				close(st.done)
 			default:
-				st.layout(cfg.Cache)
+				st.layout(cfg.Cache, fingerprint(st, item.Override != nil))
 			}
 			select {
 			case admit <- struct{}{}:

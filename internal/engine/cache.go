@@ -12,7 +12,6 @@ package engine
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -89,16 +88,16 @@ func configFingerprint(cfg Config, graph bool) string {
 	return b.String()
 }
 
-// itemKey computes the cache key of a valid batch item under its
-// effective config.
-func itemKey(st *batchState) cache.Key {
+// itemKey computes the cache key of a valid batch item whose effective
+// config has fingerprint fp (configFingerprint).
+func itemKey(st *batchState, fp string) cache.Key {
 	var canonical []byte
 	if st.g != nil {
 		canonical = cache.CanonicalGraph(st.g)
 	} else {
 		canonical = cache.CanonicalInstance(st.in)
 	}
-	return cache.KeyFor(canonical, configFingerprint(st.cfg, st.g != nil))
+	return cache.KeyFor(canonical, fp)
 }
 
 // wireVersion guards the cached-Result encoding; bump it whenever the
@@ -161,43 +160,12 @@ func encodeResult(res *Result) ([]byte, error) {
 
 // CheckCachedResult reports whether data decodes as a cached sweep
 // Result — the integrity check `schedcli cache verify` and the cache
-// lifecycle run over stored entries. Any defect the decoder would
-// treat as a miss (wrong version, malformed JSON, out-of-range front
-// witness) is the returned error.
+// lifecycle run over stored entries. Any defect the decoder treats as a
+// miss is the returned error: malformed or trailing bytes, a wrong
+// version, or a Result that fails checkResult (inconsistent bounds, a
+// run below them or above the Lemma 4 memory cap, a front other than
+// the one the runs assemble to).
 func CheckCachedResult(data []byte) error {
 	_, err := decodeResult(data)
 	return err
-}
-
-// decodeResult deserializes a cached Result. Any defect — wrong
-// version, malformed JSON, out-of-range front witness — is an error,
-// which callers treat as a cache miss and recompute.
-func decodeResult(data []byte) (*Result, error) {
-	var wr wireResult
-	if err := json.Unmarshal(data, &wr); err != nil {
-		return nil, fmt.Errorf("engine: decoding cached result: %w", err)
-	}
-	if wr.V != wireVersion {
-		return nil, fmt.Errorf("engine: cached result version %d, want %d", wr.V, wireVersion)
-	}
-	res := &Result{Bounds: wr.Bounds, Runs: make([]Run, len(wr.Runs))}
-	for i, w := range wr.Runs {
-		r := Run{
-			Algorithm: w.Algorithm,
-			Tie:       w.Tie,
-			Delta:     w.Delta,
-			Value:     model.Value{Cmax: w.Cmax, Mmax: w.Mmax},
-		}
-		if w.Err != "" {
-			r.Err = errors.New(w.Err)
-		}
-		res.Runs[i] = r
-	}
-	for _, p := range wr.Front {
-		if p.RunIndex < 0 || p.RunIndex >= len(res.Runs) {
-			return nil, fmt.Errorf("engine: cached front witness %d out of range [0,%d)", p.RunIndex, len(res.Runs))
-		}
-		res.Front = append(res.Front, FrontPoint{Value: model.Value{Cmax: p.Cmax, Mmax: p.Mmax}, RunIndex: p.RunIndex})
-	}
-	return res, nil
 }

@@ -40,7 +40,7 @@ func itemSeq(items []BatchItem) func(func(BatchItem) bool) {
 
 // encodeAll renders every emitted Result with the cache wire encoding —
 // the strictest byte-level fingerprint of what consumers observe.
-func encodeAll(t *testing.T, results []BatchResult) [][]byte {
+func encodeAll(t testing.TB, results []BatchResult) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(results))
 	for i, br := range results {
@@ -56,7 +56,7 @@ func encodeAll(t *testing.T, results []BatchResult) [][]byte {
 	return out
 }
 
-func runBatch(t *testing.T, items []BatchItem, cfg BatchConfig) []BatchResult {
+func runBatch(t testing.TB, items []BatchItem, cfg BatchConfig) []BatchResult {
 	t.Helper()
 	var got []BatchResult
 	err := SweepBatch(context.Background(), itemSeq(items), cfg, func(br BatchResult) error {

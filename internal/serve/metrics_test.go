@@ -116,6 +116,7 @@ func TestMetricsCacheStatsParity(t *testing.T) {
 		MemHits         int64 `json:"mem_hits"`
 		DiskHits        int64 `json:"disk_hits"`
 		Misses          int64 `json:"misses"`
+		Rejected        int64 `json:"rejected"`
 		Puts            int64 `json:"puts"`
 		Evictions       int64 `json:"evictions"`
 		WriteErrors     int64 `json:"write_errors"`
@@ -143,6 +144,7 @@ func TestMetricsCacheStatsParity(t *testing.T) {
 		"sched_cache_mem_hits_total":           js.MemHits,
 		"sched_cache_disk_hits_total":          js.DiskHits,
 		"sched_cache_misses_total":             js.Misses,
+		"sched_cache_rejected_total":           js.Rejected,
 		"sched_cache_puts_total":               js.Puts,
 		"sched_cache_evictions_total":          js.Evictions,
 		"sched_cache_write_errors_total":       js.WriteErrors,

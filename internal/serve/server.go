@@ -553,6 +553,7 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 		MemHits         int64 `json:"mem_hits"`
 		DiskHits        int64 `json:"disk_hits"`
 		Misses          int64 `json:"misses"`
+		Rejected        int64 `json:"rejected"`
 		Puts            int64 `json:"puts"`
 		Evictions       int64 `json:"evictions"`
 		WriteErrors     int64 `json:"write_errors"`
@@ -573,6 +574,7 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 			MemHits:         st.MemHits,
 			DiskHits:        st.DiskHits,
 			Misses:          st.Misses,
+			Rejected:        st.Rejected,
 			Puts:            st.Puts,
 			Evictions:       st.Evictions,
 			WriteErrors:     st.WriteErrors,

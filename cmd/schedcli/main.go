@@ -81,6 +81,7 @@ import (
 	"strings"
 
 	sched "storagesched"
+	"storagesched/internal/cache"
 	"storagesched/internal/metrics"
 	"storagesched/internal/serve"
 )
@@ -134,17 +135,12 @@ func main() {
 func runSweep(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	inPath := fs.String("in", "", "instance JSON file (default: stdin)")
-	dmin := fs.Float64("dmin", 0.25, "smallest delta of the grid")
-	dmax := fs.Float64("dmax", 8, "largest delta of the grid")
-	points := fs.Int("points", 32, "number of grid points")
-	gridKind := fs.String("grid", "geo", "grid spacing: geo | lin")
 	workers := fs.Int("workers", 0, "worker count (0 = one per CPU)")
-	noSBO := fs.Bool("no-sbo", false, "skip the SBO family")
-	noRLS := fs.Bool("no-rls", false, "skip the RLS family")
+	params := serve.RegisterSweepFlags(fs, false)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	grid, err := buildGrid(*gridKind, *dmin, *dmax, *points)
+	spec, err := params.Spec()
 	if err != nil {
 		return err
 	}
@@ -155,10 +151,10 @@ func runSweep(args []string, w io.Writer) error {
 	}
 
 	res, err := sched.Sweep(context.Background(), in, sched.SweepConfig{
-		Deltas:  grid,
+		Deltas:  spec.Deltas,
 		Workers: *workers,
-		SkipSBO: *noSBO,
-		SkipRLS: *noRLS,
+		SkipSBO: spec.SkipSBO,
+		SkipRLS: spec.SkipRLS,
 	})
 	if err != nil {
 		return err
@@ -173,7 +169,7 @@ func runSweep(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "instance: n=%d m=%d  lower bounds: Cmax >= %d, Mmax >= %d\n",
 		in.N(), in.M, res.Bounds.CmaxLB, res.Bounds.MmaxLB)
 	fmt.Fprintf(w, "sweep: %d runs over %d grid points (%d failed) -> %d front points\n\n",
-		len(res.Runs), *points, failed, len(res.Front))
+		len(res.Runs), len(spec.Deltas), failed, len(res.Front))
 	fmt.Fprintf(w, "%-10s %-10s %-9s %-9s %s\n", "Cmax", "Mmax", "Cmax/LB", "Mmax/LB", "witness")
 	for _, p := range res.Front {
 		fmt.Fprintf(w, "%-10d %-10d %-9.4f %-9.4f %s\n",
@@ -185,13 +181,6 @@ func runSweep(args []string, w io.Writer) error {
 	return nil
 }
 
-// buildGrid constructs the δ-grid for the sweep subcommands; grid
-// shape errors surface as messages, not stack traces. The vocabulary
-// lives in the serve session layer so schedd speaks it too.
-func buildGrid(kind string, dmin, dmax float64, points int) ([]float64, error) {
-	return serve.BuildGrid(kind, dmin, dmax, points)
-}
-
 // runSweepBatch implements the sweepbatch subcommand: a streaming
 // batch sweep over a directory, JSONL file or stdin, one front per
 // output line, in input order.
@@ -199,37 +188,19 @@ func runSweepBatch(args []string, stdin io.Reader, w io.Writer) error {
 	fs := flag.NewFlagSet("sweepbatch", flag.ContinueOnError)
 	inPath := fs.String("in", "", "directory of *.json instances and *.graph.json task DAGs, a .jsonl file (one instance per line), a .list file (one instance/graph path per line), or a single .json/.graph.json file (default: a stream of JSON documents on stdin — compact JSONL or indented alike)")
 	outPath := fs.String("out", "", "output JSONL file (default: stdout)")
-	dmin := fs.Float64("dmin", 0.25, "smallest delta of the grid")
-	dmax := fs.Float64("dmax", 8, "largest delta of the grid")
-	points := fs.Int("points", 32, "number of grid points")
-	gridKind := fs.String("grid", "geo", "grid spacing: geo | lin")
 	workers := fs.Int("workers", 0, "shared pool size (0 = one per CPU)")
-	pending := fs.Int("pending", 0, "max instances in flight (0 = twice the workers)")
-	noSBO := fs.Bool("no-sbo", false, "skip the SBO family")
-	noRLS := fs.Bool("no-rls", false, "skip the RLS family")
 	cacheDir := fs.String("cache-dir", "", "content-addressed front cache directory (disk tier)")
 	cacheMem := fs.Int("cache-mem", 0, "front cache memory-tier entries (0 = default when caching; < 0 = disk-only)")
-	doRefine := fs.Bool("refine", false, "adaptive two-pass sweep: re-sweep δ-intervals where each front's relative gap exceeds -refine-gap")
-	refineGap := fs.Float64("refine-gap", sched.DefaultRefineGap, "relative front gap above which the δ-interval is refined")
-	refineMax := fs.Int("refine-max-points", sched.DefaultRefineMaxPoints, "refinement δ points budgeted per item")
 	stats := fs.Bool("stats", false, "print the batch's metrics registry (Prometheus text format) to stderr when done — the same families a schedd /metrics scrape exposes")
+	params := serve.RegisterSweepFlags(fs, true)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec := serve.SweepSpec{
-		SkipSBO:         *noSBO,
-		SkipRLS:         *noRLS,
-		MaxPending:      *pending,
-		Refine:          *doRefine,
-		RefineGap:       *refineGap,
-		RefineMaxPoints: *refineMax,
-	}
-	grid, err := buildGrid(*gridKind, *dmin, *dmax, *points)
+	spec, err := params.Spec()
 	if err != nil {
 		return err
 	}
-	spec.Deltas = grid
-	fcache, err := serve.OpenCache(*cacheDir, *cacheMem)
+	fcache, err := serve.OpenCache(cache.Config{Dir: *cacheDir, MemEntries: *cacheMem})
 	if err != nil {
 		return err
 	}

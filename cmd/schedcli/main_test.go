@@ -268,6 +268,7 @@ func TestRunSweepBatchRejectsBadInputs(t *testing.T) {
 		{"-in", t.TempDir()}, // no *.json files
 		{"-in", dir, "-refine", "-refine-gap", "-0.5"},
 		{"-in", dir, "-refine", "-refine-max-points", "-2"},
+		{"-in", dir, "-points", "5000"}, // above the grid-size cap
 	}
 	for _, args := range cases {
 		if err := runSweepBatch(args, strings.NewReader(""), &buf); err == nil {

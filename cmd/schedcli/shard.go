@@ -347,19 +347,20 @@ func runShardExec(args []string, w io.Writer) error {
 	outPath := fs.String("out", "", "merged JSONL output (default: stdout)")
 	bin := fs.String("bin", "", "schedcli binary to drive (default: this executable)")
 	workDir := fs.String("work-dir", "", "directory for plans and per-shard outputs (default: a temp dir, removed afterwards)")
-	dmin := fs.Float64("dmin", 0.25, "smallest delta of the grid")
-	dmax := fs.Float64("dmax", 8, "largest delta of the grid")
-	points := fs.Int("points", 32, "number of grid points")
-	gridKind := fs.String("grid", "geo", "grid spacing: geo | lin")
 	workers := fs.Int("workers", 0, "pool size per shard (0 = one per CPU)")
-	noSBO := fs.Bool("no-sbo", false, "skip the SBO family")
-	noRLS := fs.Bool("no-rls", false, "skip the RLS family")
 	cacheDir := fs.String("cache-dir", "", "front cache directory shared by the shard subprocesses")
+	params := serve.RegisterSweepFlags(fs, false)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *inDir == "" {
 		return fmt.Errorf("shard exec: -in is required")
+	}
+	// Check the sweep here, once, rather than in every subprocess: a bad
+	// grid then fails with its own message, not as shards that wrote
+	// no output.
+	if _, err := params.Spec(); err != nil {
+		return fmt.Errorf("shard exec: %w", err)
 	}
 	if *bin == "" {
 		self, err := os.Executable()
@@ -399,21 +400,11 @@ func runShardExec(args []string, w io.Writer) error {
 	var wg sync.WaitGroup
 	for s := 0; s < plan.K; s++ {
 		shardFiles[s] = filepath.Join(dir, "shard-"+strconv.Itoa(s)+".jsonl")
-		sargs := []string{"sweepbatch",
+		sargs := append([]string{"sweepbatch",
 			"-in", listPaths[s],
 			"-out", shardFiles[s],
-			"-dmin", strconv.FormatFloat(*dmin, 'g', -1, 64),
-			"-dmax", strconv.FormatFloat(*dmax, 'g', -1, 64),
-			"-points", strconv.Itoa(*points),
-			"-grid", *gridKind,
 			"-workers", strconv.Itoa(*workers),
-		}
-		if *noSBO {
-			sargs = append(sargs, "-no-sbo")
-		}
-		if *noRLS {
-			sargs = append(sargs, "-no-rls")
-		}
+		}, params.Args()...)
 		if *cacheDir != "" {
 			sargs = append(sargs, "-cache-dir", *cacheDir)
 		}

@@ -240,6 +240,23 @@ func TestShardRejectsBadInputs(t *testing.T) {
 	if err := runShard([]string{"merge", "-plan", filepath.Join(planDir, "plan.json")}, os.Stdout); err == nil {
 		t.Error("merge with no shard outputs accepted")
 	}
+	// exec checks the sweep before it plans or spawns anything: the
+	// error names the bad parameter, though no subprocess could run.
+	noBin := filepath.Join(t.TempDir(), "missing-schedcli")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-points", "0"}, "invalid grid"},
+		{[]string{"-no-sbo", "-no-rls"}, "both algorithm families skipped"},
+		{[]string{"-points", "5000"}, "points=5000: above the limit of 4096"},
+	} {
+		args := append([]string{"exec", "-in", dir, "-bin", noBin, "-work-dir", t.TempDir()}, c.args...)
+		err := runShard(args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("shard exec %v: error %v, want one naming %q", c.args, err, c.want)
+		}
+	}
 }
 
 // The full subprocess flow: shard exec drives one real `schedcli

@@ -87,21 +87,17 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 	if (*cacheMaxBytes != 0 || *cacheMaxAge != 0) && *cacheDir == "" {
 		return fmt.Errorf("-cache-max-bytes/-cache-max-age need -cache-dir (only the persistent tier has a lifecycle)")
 	}
-	// Like serve.OpenCache, but carrying the lifecycle caps so the
-	// background sweep (and any `schedcli cache gc` run with a zero
-	// policy against this cache) enforces them.
-	var fcache *cache.Cache
-	if *cacheDir != "" || *cacheMem != 0 {
-		c, err := cache.New(cache.Config{
-			Dir:        *cacheDir,
-			MemEntries: *cacheMem,
-			MaxBytes:   *cacheMaxBytes,
-			MaxAge:     *cacheMaxAge,
-		})
-		if err != nil {
-			return err
-		}
-		fcache = c
+	// The lifecycle caps ride on the cache config, so the background
+	// sweep (and any `schedcli cache gc` run with a zero policy against
+	// this cache) enforces them.
+	fcache, err := serve.OpenCache(cache.Config{
+		Dir:        *cacheDir,
+		MemEntries: *cacheMem,
+		MaxBytes:   *cacheMaxBytes,
+		MaxAge:     *cacheMaxAge,
+	})
+	if err != nil {
+		return err
 	}
 	session := serve.NewSession(serve.SessionConfig{
 		Workers:  *workers,

@@ -194,7 +194,7 @@ func LinearGrid(lo, hi float64, n int) ([]float64, error) {
 // GeometricGrid returns n geometrically spaced δ values covering
 // [lo, hi] — the natural grid for δ, whose two guarantees trade off as
 // (1+δ) against (1+1/δ). It errors on the same conditions as
-// LinearGrid.
+// LinearGrid, and when hi/lo overflows a float64.
 func GeometricGrid(lo, hi float64, n int) ([]float64, error) {
 	if err := checkGrid(lo, hi, n); err != nil {
 		return nil, err
@@ -202,8 +202,11 @@ func GeometricGrid(lo, hi float64, n int) ([]float64, error) {
 	if n == 1 {
 		return []float64{lo}, nil
 	}
-	out := make([]float64, n)
 	ratio := hi / lo
+	if math.IsInf(ratio, 1) {
+		return nil, fmt.Errorf("engine: invalid grid lo=%g hi=%g: hi/lo overflows, so the inner points would be infinite", lo, hi)
+	}
+	out := make([]float64, n)
 	for i := range out {
 		out[i] = lo * math.Pow(ratio, float64(i)/float64(n-1))
 	}

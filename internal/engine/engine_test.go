@@ -328,6 +328,10 @@ func TestGrids(t *testing.T) {
 			t.Errorf("GeometricGrid(%g, %g, %d): no error", c.lo, c.hi, c.n)
 		}
 	}
+	// A span wider than float64 would put +Inf inside the grid.
+	if g, err := GeometricGrid(5e-324, 1e300, 3); err == nil {
+		t.Errorf("GeometricGrid over an overflowing ratio = %v, want an error", g)
+	}
 }
 
 func TestFrontPrefersLowestRunIndexWitness(t *testing.T) {

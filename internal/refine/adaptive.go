@@ -38,7 +38,7 @@ func SweepBatchAdaptive(ctx context.Context, items iter.Seq[engine.BatchItem], c
 	if emit == nil {
 		return fmt.Errorf("refine: nil emit callback")
 	}
-	rcfg, err := rcfg.normalized()
+	rcfg, err := rcfg.Normalized()
 	if err != nil {
 		return err
 	}

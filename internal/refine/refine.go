@@ -60,9 +60,10 @@ type Config struct {
 	MaxPoints int
 }
 
-// normalized applies the documented defaults and rejects unusable
-// values.
-func (c Config) normalized() (Config, error) {
+// Normalized applies the documented defaults and rejects unusable
+// values — the check every front end runs on its refine parameters
+// before a sweep is admitted.
+func (c Config) Normalized() (Config, error) {
 	if c.Gap == 0 {
 		c.Gap = DefaultGap
 	}
@@ -117,7 +118,7 @@ func relGap(a, b engine.FrontPoint) float64 {
 // job. The plan is a pure function of the Result, so adaptive sweeps
 // stay deterministic whatever the worker count.
 func Grid(res *engine.Result, graph bool, cfg Config) ([]float64, error) {
-	cfg, err := cfg.normalized()
+	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}

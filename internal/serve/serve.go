@@ -112,12 +112,12 @@ func (s *Session) Close() {
 
 // OpenCache builds the front cache selected by the -cache-dir and
 // -cache-mem knobs both front ends expose; both zero means caching off
-// (a nil cache).
-func OpenCache(dir string, mem int) (*cache.Cache, error) {
-	if dir == "" && mem == 0 {
+// (a nil cache), whatever else cfg carries.
+func OpenCache(cfg cache.Config) (*cache.Cache, error) {
+	if cfg.Dir == "" && cfg.MemEntries == 0 {
 		return nil, nil
 	}
-	return cache.New(cache.Config{Dir: dir, MemEntries: mem})
+	return cache.New(cfg)
 }
 
 // SweepSpec is one sweep's parameters — everything a request (CLI

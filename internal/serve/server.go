@@ -17,20 +17,15 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"maps"
 	"math"
 	"net"
 	"net/http"
-	"net/url"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"storagesched/internal/metrics"
-	"storagesched/internal/refine"
 )
 
 // Default admission limits (see ServerConfig).
@@ -310,116 +305,6 @@ func (s *Server) reject(w http.ResponseWriter, reason error) {
 	http.Error(w, reason.Error(), http.StatusTooManyRequests)
 }
 
-// maxQueryPoints caps the grid sizes a /v1/sweep query may ask for
-// (points and refine-max-points). The grid is built before admission,
-// so an unchecked count would allocate on behalf of a request that
-// may never be admitted.
-const maxQueryPoints = 4096
-
-// sweepParams is the closed set of /v1/sweep query parameter names; a
-// request naming any other is refused rather than silently run with
-// defaults.
-var sweepParams = []string{"dmin", "dmax", "points", "grid", "no-sbo", "no-rls",
-	"pending", "refine", "refine-gap", "refine-max-points"}
-
-// sweepSpecFromQuery builds the SweepSpec from /v1/sweep query
-// parameters. The names and defaults mirror the schedcli sweepbatch
-// flags one for one (see sweepParams); docs/API.md is the reference.
-// Unknown names and grid sizes above maxQueryPoints are errors, both
-// reported before any grid is allocated.
-func sweepSpecFromQuery(q url.Values) (SweepSpec, error) {
-	var spec SweepSpec
-	for _, name := range slices.Sorted(maps.Keys(q)) {
-		if !slices.Contains(sweepParams, name) {
-			return spec, fmt.Errorf("unknown query parameter %q (want one of %s)", name, strings.Join(sweepParams, ", "))
-		}
-	}
-	dmin, err := floatParam(q, "dmin", 0.25)
-	if err != nil {
-		return spec, err
-	}
-	dmax, err := floatParam(q, "dmax", 8)
-	if err != nil {
-		return spec, err
-	}
-	points, err := pointsParam(q, "points", 32)
-	if err != nil {
-		return spec, err
-	}
-	gridKind := q.Get("grid")
-	if gridKind == "" {
-		gridKind = "geo"
-	}
-	if spec.Deltas, err = BuildGrid(gridKind, dmin, dmax, points); err != nil {
-		return spec, err
-	}
-	if spec.SkipSBO, err = boolParam(q, "no-sbo"); err != nil {
-		return spec, err
-	}
-	if spec.SkipRLS, err = boolParam(q, "no-rls"); err != nil {
-		return spec, err
-	}
-	if spec.MaxPending, err = intParam(q, "pending", 0); err != nil {
-		return spec, err
-	}
-	if spec.Refine, err = boolParam(q, "refine"); err != nil {
-		return spec, err
-	}
-	if spec.RefineGap, err = floatParam(q, "refine-gap", refine.DefaultGap); err != nil {
-		return spec, err
-	}
-	if spec.RefineMaxPoints, err = pointsParam(q, "refine-max-points", refine.DefaultMaxPoints); err != nil {
-		return spec, err
-	}
-	return spec, nil
-}
-
-func floatParam(q url.Values, name string, def float64) (float64, error) {
-	v := q.Get(name)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("query parameter %s=%q: not a number", name, v)
-	}
-	return f, nil
-}
-
-func intParam(q url.Values, name string, def int) (int, error) {
-	v := q.Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("query parameter %s=%q: not an integer", name, v)
-	}
-	return n, nil
-}
-
-// pointsParam is intParam for a grid size, refused above
-// maxQueryPoints.
-func pointsParam(q url.Values, name string, def int) (int, error) {
-	n, err := intParam(q, name, def)
-	if err == nil && n > maxQueryPoints {
-		err = fmt.Errorf("query parameter %s=%d: above the limit of %d grid points", name, n, maxQueryPoints)
-	}
-	return n, err
-}
-
-func boolParam(q url.Values, name string) (bool, error) {
-	v := q.Get(name)
-	if v == "" {
-		return false, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("query parameter %s=%q: not a boolean", name, v)
-	}
-	return b, nil
-}
-
 // flushWriter flushes after every Write so each JSONL line reaches the
 // client as its item completes — the encoder writes one line per call.
 type flushWriter struct {
@@ -455,7 +340,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	spec, err := sweepSpecFromQuery(r.URL.Query())
+	spec, err := querySpec(r.URL.Query())
 	if err != nil {
 		s.met.refused(RefusalBadQuery, client)
 		http.Error(w, err.Error(), http.StatusBadRequest)

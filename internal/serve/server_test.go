@@ -174,6 +174,13 @@ func TestServeSweepBadRequest(t *testing.T) {
 		{"point=8", `unknown query parameter "point"`},
 		{"shards=2", `unknown query parameter "shards"`},
 		{"refine=1&shard-policy=rr", `unknown query parameter "shard-policy"`},
+		// Values only the engine or the refiner used to reject are 400s
+		// before admission, not failures mid-stream.
+		{"refine=1&refine-gap=-1", "gap threshold -1"},
+		{"refine=1&refine-gap=NaN", "gap threshold NaN"},
+		{"refine=1&refine-gap=Inf", "gap threshold +Inf"},
+		{"refine=1&refine-max-points=-1", "max points -1"},
+		{"no-sbo=1&no-rls=1", "both algorithm families skipped"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(srv.URL+"/v1/sweep?"+c.q, "application/jsonl", strings.NewReader(testBody()))

@@ -320,8 +320,8 @@ func BenchmarkSweepBatchCachedCold_n50(b *testing.B) {
 
 // BenchmarkSweepBatchCachedColdDir_n50 is the cold path over the disk
 // tier: a fresh cache over an empty DirStore directory per iteration,
-// so every front also pays its DirStore.Put (temp file, write, close,
-// rename) on the emitter.
+// so every front also pays its DirStore.Put on the emitter — the first
+// one opens the writer's segment, each one appends a record.
 func BenchmarkSweepBatchCachedColdDir_n50(b *testing.B) {
 	ins, cfg := sweepBatchWorkload(b)
 	ctx := context.Background()
@@ -342,6 +342,101 @@ func BenchmarkSweepBatchCachedColdDir_n50(b *testing.B) {
 		}
 		if st := c.Stats(); st.Puts != int64(len(ins)) || st.WriteErrors != 0 {
 			b.Fatalf("cold run stored %d fronts with %d write errors, want %d and 0", st.Puts, st.WriteErrors, len(ins))
+		}
+	}
+}
+
+// storeEntry is one real cache entry: the encoded front of an n=120,
+// m=8 instance over the 8-point geometric grid on [0.5, 8] (about
+// 1.6 KB), read back from the store a cold sweep wrote it to.
+func storeEntry(b *testing.B) []byte {
+	b.Helper()
+	st, err := cache.NewDirStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := cache.New(cache.Config{Store: st})
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid, err := engine.GeometricGrid(0.5, 8, 8)
+	cfg := engine.Config{Deltas: benchGrid(b, grid, err), Workers: 1}
+	err = engine.SweepBatch(context.Background(), engine.BatchOf(gen.Uniform(120, 8, 1)),
+		engine.BatchConfig{Config: cfg, Cache: c}, func(br engine.BatchResult) error { return br.Err })
+	if err != nil {
+		b.Fatal(err)
+	}
+	infos, err := st.List()
+	if err != nil || len(infos) != 1 {
+		b.Fatalf("the sweep stored %d entries (err=%v), want 1", len(infos), err)
+	}
+	val, ok := st.Get(infos[0].Key)
+	if !ok {
+		b.Fatal("the stored entry misses")
+	}
+	return val
+}
+
+// storeKeys returns n distinct cache keys.
+func storeKeys(n int) []cache.Key {
+	keys := make([]cache.Key, n)
+	for i := range keys {
+		keys[i] = cache.KeyFor(strconv.AppendInt(nil, int64(i), 10), "bench")
+	}
+	return keys
+}
+
+// BenchmarkDirStorePut_5k is the disk tier's write path alone: 5,000
+// puts of a real entry into one fresh store per iteration — the
+// writes a cold sweep of 5,000 fronts makes.
+func BenchmarkDirStorePut_5k(b *testing.B) {
+	val := storeEntry(b)
+	keys := storeKeys(5000)
+	root := b.TempDir()
+	b.SetBytes(int64(len(keys) * len(val)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := cache.NewDirStore(filepath.Join(root, strconv.Itoa(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, k := range keys {
+			if err := st.Put(k, val); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkDirStoreOpen_50k is the cost of opening a store over a
+// directory holding 50,000 entries and serving one hit: NewDirStore
+// reads every record header to build the index, so opening grows with
+// the store.
+func BenchmarkDirStoreOpen_50k(b *testing.B) {
+	val := storeEntry(b)
+	keys := storeKeys(50000)
+	dir := b.TempDir()
+	st, err := cache.NewDirStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := st.Put(k, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := cache.NewDirStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := st.Get(keys[i%len(keys)]); !ok {
+			b.Fatal("a stored entry misses after reopening")
 		}
 	}
 }

@@ -7,13 +7,18 @@ package main
 //	schedcli cache gc     -dir ~/.sweepcache -max-bytes 1000000 -max-age 720h
 //	schedcli cache verify -dir ~/.sweepcache
 //
-// stats lists what the persistent tier holds. gc runs one lifecycle
-// sweep: orphaned put-*.tmp files older than -tmp-age are collected,
-// entries older than -max-age evicted, then oldest entries (ties broken
-// on key, so identical states sweep identically on any machine) until
-// the tier fits -max-bytes. verify decodes every entry with the
+// The directory holds append-only segment files, one per process that
+// wrote to it. stats lists what the persistent tier holds. gc runs one
+// lifecycle sweep: entries older than -max-age are evicted, then
+// oldest entries (ties broken on key, so identical states sweep
+// identically on any machine) until the tier fits -max-bytes; then the
+// segments of processes that have exited are compacted into one, which
+// drops evicted, superseded and damaged records and torn tails, and the
+// <key>.json and put-*.tmp files of the one-file-per-key layout older
+// versions wrote are removed. verify decodes every entry with the
 // engine's cached-front decoder and deletes garbage. All three run
-// safely against live sweeps — an evicted entry is just a future miss.
+// safely against live sweeps — an evicted entry is just a future miss,
+// and a live writer's segment is never compacted.
 
 import (
 	"flag"
@@ -89,7 +94,6 @@ func runCacheGC(args []string, w io.Writer) error {
 	dir := cacheDirFlag(fs)
 	maxBytes := fs.Int64("max-bytes", 0, "size cap for the persistent tier; 0 = unbounded")
 	maxAge := fs.Duration("max-age", 0, "evict entries last written longer than this ago; 0 = unbounded")
-	tmpAge := fs.Duration("tmp-age", 0, "collect orphaned put-*.tmp files older than this (0 = 1h; negative = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -100,13 +104,14 @@ func runCacheGC(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := c.GC(sched.CacheGCPolicy{MaxBytes: *maxBytes, MaxAge: *maxAge, TmpAge: *tmpAge})
+	res, err := c.GC(sched.CacheGCPolicy{MaxBytes: *maxBytes, MaxAge: *maxAge})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "scanned %d entries (%d bytes)\n", res.Scanned, res.ScannedBytes)
 	fmt.Fprintf(w, "evicted %d by age, %d by size (%d bytes)\n", res.EvictedAge, res.EvictedSize, res.EvictedBytes)
-	fmt.Fprintf(w, "removed %d orphaned tmp files\n", res.TmpRemoved)
+	fmt.Fprintf(w, "compacted %d segments\n", res.Compacted)
+	fmt.Fprintf(w, "removed %d legacy files\n", res.LegacyRemoved)
 	fmt.Fprintf(w, "live: %d entries (%d bytes)\n", res.Live, res.LiveBytes)
 	return nil
 }

@@ -5,9 +5,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-	"time"
+
+	sched "storagesched"
 )
 
 func TestCacheRejectsBadInputs(t *testing.T) {
@@ -49,12 +51,79 @@ func captureStderr(t *testing.T, fn func()) string {
 	return <-done
 }
 
-// The acceptance scenario: a cache directory accumulating sweeps,
-// stale put-*.tmp orphans from a crashed writer and one corrupted
-// entry. verify deletes exactly the garbage entry, gc collects the
-// orphans and brings the tier under the size cap, and a warm sweep
-// over the survivors still hits — with output byte-identical to the
-// cold run.
+// cacheEntries reads every entry of a cache directory, in key order.
+func cacheEntries(t *testing.T, dir string) ([]sched.CacheKey, [][]byte) {
+	t.Helper()
+	st, err := sched.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []sched.CacheKey
+	var vals [][]byte
+	for _, info := range infos {
+		val, ok := st.Get(info.Key)
+		if !ok {
+			t.Fatalf("listed entry %s misses", info.Key)
+		}
+		keys = append(keys, info.Key)
+		vals = append(vals, val)
+	}
+	return keys, vals
+}
+
+// segmentFiles lists a cache directory's segment files.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// plantEntries stores vals at keys in a cache directory as a writer
+// that has since exited: a store in a scratch directory writes them,
+// and a copy of its segment joins dir. It returns the copy's path.
+func plantEntries(t *testing.T, dir string, keys []sched.CacheKey, vals [][]byte) string {
+	t.Helper()
+	scratch := t.TempDir()
+	st, err := sched.NewDirStore(scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range keys {
+		if err := st.Put(key, vals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := segmentFiles(t, scratch)
+	if len(segs) != 1 {
+		t.Fatalf("planting wrote %d segments, want 1", len(segs))
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "seg-1-planted.log")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// The acceptance scenario: a cache directory accumulating sweeps, a
+// crashed writer's torn tail, a put-*.tmp left by the one-file-per-key
+// layout, and three garbage entries — one that is not a cached front,
+// one that decodes but whose first front point is off its witness
+// run's value, and one whose record no longer matches its CRC. verify
+// deletes exactly the garbage, gc removes the legacy file, compacts
+// the dead writer's segment (the torn tail with it) and brings the
+// tier under the size cap, and a warm sweep over the survivors still
+// hits — with output byte-identical to the cold run.
 func TestCacheLifecycleAcceptance(t *testing.T) {
 	dir := mixedDir(t, false)
 	cacheDir := filepath.Join(t.TempDir(), "fronts")
@@ -63,21 +132,28 @@ func TestCacheLifecycleAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
-	if err != nil || len(entries) < 2 {
-		t.Fatalf("want >= 2 cache entries, got %d (err=%v)", len(entries), err)
+	keys, vals := cacheEntries(t, cacheDir)
+	if len(keys) < 3 {
+		t.Fatalf("want >= 3 cache entries, got %d", len(keys))
 	}
 
-	// A crashed writer's leavings and one rotten entry.
+	offWitness := strings.Replace(string(vals[1]), `"front":[{"cmax":`, `"front":[{"cmax":1`, 1)
+	if offWitness == string(vals[1]) {
+		t.Fatal("the off-witness corruption did not apply")
+	}
+	planted := plantEntries(t, cacheDir, keys[:3], [][]byte{[]byte("not a cached front"), []byte(offWitness), vals[2]})
+	data, err := os.ReadFile(planted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Key 2's value no longer matches its CRC, and the writer died
+	// mid-record.
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(planted, append(data, "torn"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	stale := filepath.Join(cacheDir, "put-crashed.tmp")
 	if err := os.WriteFile(stale, []byte("torn"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	long := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(stale, long, long); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(entries[0], []byte("not a cached front"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -85,7 +161,7 @@ func TestCacheLifecycleAcceptance(t *testing.T) {
 	if err := runCache([]string{"stats", "-dir", cacheDir}, &stats); err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if want := fmt.Sprintf("entries: %d\n", len(entries)); !strings.Contains(stats.String(), want) {
+	if want := fmt.Sprintf("entries: %d\n", len(keys)); !strings.Contains(stats.String(), want) {
 		t.Errorf("stats output missing %q:\n%s", want, stats.String())
 	}
 
@@ -93,25 +169,27 @@ func TestCacheLifecycleAcceptance(t *testing.T) {
 	if err := runCache([]string{"verify", "-dir", cacheDir}, &verify); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	if !strings.Contains(verify.String(), "removed 1 garbage entries") {
-		t.Errorf("verify did not remove exactly the corrupted entry:\n%s", verify.String())
+	if !strings.Contains(verify.String(), "removed 3 garbage entries") {
+		t.Errorf("verify did not remove exactly the three garbage entries:\n%s", verify.String())
 	}
-	if _, err := os.Stat(entries[0]); err == nil {
-		t.Error("corrupted entry still present after verify")
+	left, _ := cacheEntries(t, cacheDir)
+	if len(left) != len(keys)-3 || slices.ContainsFunc(left, func(k sched.CacheKey) bool { return slices.Contains(keys[:3], k) }) {
+		t.Errorf("after verify the cache holds %v, want all but the first 3 of %v", left, keys)
 	}
 
 	var gc strings.Builder
 	if err := runCache([]string{"gc", "-dir", cacheDir, "-max-bytes", "1"}, &gc); err != nil {
 		t.Fatalf("gc: %v", err)
 	}
-	if !strings.Contains(gc.String(), "removed 1 orphaned tmp files") {
-		t.Errorf("gc did not collect the stale tmp:\n%s", gc.String())
+	for _, want := range []string{"removed 1 legacy files", "live: 0 entries (0 bytes)"} {
+		if !strings.Contains(gc.String(), want) {
+			t.Errorf("gc output missing %q:\n%s", want, gc.String())
+		}
 	}
-	if _, err := os.Stat(stale); err == nil {
-		t.Error("stale tmp still present after gc")
-	}
-	if !strings.Contains(gc.String(), "live: 0 entries (0 bytes)") {
-		t.Errorf("a 1-byte cap should evict every entry:\n%s", gc.String())
+	for _, name := range []string{stale, planted} {
+		if _, err := os.Stat(name); err == nil {
+			t.Errorf("%s still present after gc", filepath.Base(name))
+		}
 	}
 
 	// The golden byte-equality contract: gc evicted everything, so the
@@ -147,33 +225,34 @@ func TestCacheLifecycleAcceptance(t *testing.T) {
 	}
 }
 
-// gc with an age cap evicts by mtime, oldest first, without touching
-// fresh entries — driven through the CLI flags.
+// gc's -max-age flag reaches the sweep: a day's cap keeps every fresh
+// entry, a nanosecond's evicts them all.
 func TestCacheGCMaxAgeFlag(t *testing.T) {
 	dir := mixedDir(t, false)
 	cacheDir := filepath.Join(t.TempDir(), "fronts")
 	if _, err := sweepDir(t, dir, "-cache-dir", cacheDir); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
-	if err != nil || len(entries) < 2 {
-		t.Fatalf("want >= 2 entries, got %d", len(entries))
+	keys, _ := cacheEntries(t, cacheDir)
+	if len(keys) < 2 {
+		t.Fatalf("want >= 2 entries, got %d", len(keys))
 	}
-	old := time.Now().Add(-48 * time.Hour)
-	if err := os.Chtimes(entries[0], old, old); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		maxAge string
+		want   string
+	}{
+		{"24h", "evicted 0 by age"},
+		{"1ns", fmt.Sprintf("evicted %d by age", len(keys))},
+	} {
+		var gc strings.Builder
+		if err := runCache([]string{"gc", "-dir", cacheDir, "-max-age", tc.maxAge}, &gc); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(gc.String(), tc.want) {
+			t.Errorf("-max-age %s: output missing %q:\n%s", tc.maxAge, tc.want, gc.String())
+		}
 	}
-	var gc strings.Builder
-	if err := runCache([]string{"gc", "-dir", cacheDir, "-max-age", "24h"}, &gc); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(gc.String(), "evicted 1 by age") {
-		t.Errorf("age cap evicted the wrong count:\n%s", gc.String())
-	}
-	if _, err := os.Stat(entries[0]); err == nil {
-		t.Error("aged entry survived -max-age")
-	}
-	if _, err := os.Stat(entries[1]); err != nil {
-		t.Error("fresh entry evicted by -max-age")
+	if left, _ := cacheEntries(t, cacheDir); len(left) != 0 {
+		t.Errorf("%d entries survived -max-age 1ns", len(left))
 	}
 }

@@ -59,9 +59,10 @@
 //
 // The cache subcommand maintains a front-cache directory: stats lists
 // what the persistent tier holds, gc runs one lifecycle sweep (size
-// and age caps with deterministic oldest-first eviction, orphaned-tmp
-// collection), and verify decodes every entry with the engine's
-// cached-front decoder and deletes garbage:
+// and age caps with deterministic oldest-first eviction, then
+// compaction of the segments of writers that have exited), and verify
+// decodes every entry with the engine's cached-front decoder and
+// deletes garbage:
 //
 //	schedcli cache stats -dir ~/.sweepcache
 //	schedcli cache gc -dir ~/.sweepcache -max-bytes 100000000 -max-age 720h

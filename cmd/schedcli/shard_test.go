@@ -53,9 +53,9 @@ func TestRunSweepBatchCacheColdWarmByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no cache entries written (err=%v)", err)
+	keys, _ := cacheEntries(t, cacheDir)
+	if len(keys) == 0 {
+		t.Fatal("no cache entries written")
 	}
 	warm, err := sweepDir(t, dir, "-cache-dir", cacheDir)
 	if err != nil {
@@ -65,9 +65,7 @@ func TestRunSweepBatchCacheColdWarmByteIdentical(t *testing.T) {
 		t.Errorf("cold and warm outputs differ:\n%s\nvs\n%s", cold, warm)
 	}
 	// Corrupt one entry; the run still matches and heals it.
-	if err := os.WriteFile(entries[0], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	plantEntries(t, cacheDir, keys[:1], [][]byte{[]byte("garbage")})
 	healed, err := sweepDir(t, dir, "-cache-dir", cacheDir)
 	if err != nil {
 		t.Fatalf("healed: %v", err)

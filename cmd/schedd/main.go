@@ -22,8 +22,9 @@
 // With -cache-dir the daemon also runs the cache lifecycle: one gc
 // sweep at startup and one per -cache-gc-interval, enforcing the
 // -cache-max-bytes size cap (deterministic oldest-first eviction) and
-// the -cache-max-age age cap, and collecting put-*.tmp orphans left by
-// crashed writers. Sweeps are logged and counted in the
+// the -cache-max-age age cap, compacting the segment files of writers
+// that have exited, and removing the files of the one-file-per-key
+// layout older versions wrote. Sweeps are logged and counted in the
 // sched_cache_gc_* metric families.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: it stops admitting
@@ -168,7 +169,8 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 						"evicted_age", res.EvictedAge,
 						"evicted_size", res.EvictedSize,
 						"evicted_bytes", res.EvictedBytes,
-						"tmp_removed", res.TmpRemoved,
+						"tmp_removed", res.LegacyRemoved,
+						"compacted", res.Compacted,
 						"live", res.Live,
 						"live_bytes", res.LiveBytes)
 				}

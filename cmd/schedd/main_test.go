@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"storagesched/internal/cache"
 )
 
 // startDaemon runs the daemon in-process on an ephemeral port and
@@ -337,41 +339,46 @@ func TestScheddLifecycle(t *testing.T) {
 	}
 }
 
-// TestScheddCacheGC: the daemon's background lifecycle sweep collects
-// a crashed writer's stale tmp, evicts a planted garbage entry past
-// the age cap, and surfaces all of it in the sched_cache_gc_* metric
-// families and the /v1/cache/stats snapshot.
+// TestScheddCacheGC: the daemon's background lifecycle sweep removes
+// the files the one-file-per-key layout left (a crashed writer's tmp,
+// a flat entry), evicts an entry past the age cap, and surfaces all of
+// it in the sched_cache_gc_* metric families and the /v1/cache/stats
+// snapshot.
 func TestScheddCacheGC(t *testing.T) {
 	cacheDir := t.TempDir()
-	long := time.Now().Add(-2 * time.Hour)
 
-	// A crashed writer's leavings: a stale tmp (default 1h cutoff) and
-	// an aged garbage entry the -cache-max-age cap must evict.
-	stale := filepath.Join(cacheDir, "put-crashed.tmp")
-	if err := os.WriteFile(stale, []byte("torn"), 0o600); err != nil {
-		t.Fatal(err)
+	legacy := []string{
+		filepath.Join(cacheDir, "put-crashed.tmp"),
+		filepath.Join(cacheDir, strings.Repeat("ab", 32)+".json"),
 	}
-	aged := filepath.Join(cacheDir, strings.Repeat("ab", 32)+".json")
-	if err := os.WriteFile(aged, []byte("old entry"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{stale, aged} {
-		if err := os.Chtimes(name, long, long); err != nil {
+	for _, name := range legacy {
+		if err := os.WriteFile(name, []byte("old layout"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// An entry older than the -cache-max-age cap below by the time the
+	// daemon's startup sweep runs.
+	store, err := cache.NewDirStore(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aged := cache.KeyFor([]byte("aged"), "fp")
+	if err := store.Put(aged, []byte("old entry")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
 
 	base, shutdown := startDaemon(t,
 		"-cache-dir", cacheDir,
-		"-cache-max-age", "1h",
+		"-cache-max-age", "10ms",
 		"-cache-gc-interval", "1h") // the startup sweep is the one under test
 
 	// The startup sweep runs asynchronously; poll the stats endpoint.
 	deadline := time.Now().Add(10 * time.Second)
 	var js struct {
-		GCRuns       int64 `json:"gc_runs"`
-		GCEvictions  int64 `json:"gc_evictions"`
-		GCTmpRemoved int64 `json:"gc_tmp_removed"`
+		GCRuns          int64 `json:"gc_runs"`
+		GCEvictions     int64 `json:"gc_evictions"`
+		GCLegacyRemoved int64 `json:"gc_tmp_removed"`
 	}
 	for {
 		resp, err := http.Get(base + "/v1/cache/stats")
@@ -391,16 +398,20 @@ func TestScheddCacheGC(t *testing.T) {
 	if js.GCRuns == 0 {
 		t.Fatal("startup gc sweep never ran")
 	}
-	if js.GCTmpRemoved != 1 {
-		t.Errorf("gc_tmp_removed = %d, want 1", js.GCTmpRemoved)
+	if js.GCLegacyRemoved != 2 {
+		t.Errorf("gc_tmp_removed = %d, want 2 (the legacy files)", js.GCLegacyRemoved)
 	}
 	if js.GCEvictions != 1 {
 		t.Errorf("gc_evictions = %d, want 1 (the aged entry)", js.GCEvictions)
 	}
-	if _, err := os.Stat(stale); err == nil {
-		t.Error("stale tmp survived the startup sweep")
+	for _, name := range legacy {
+		if _, err := os.Stat(name); err == nil {
+			t.Errorf("%s survived the startup sweep", filepath.Base(name))
+		}
 	}
-	if _, err := os.Stat(aged); err == nil {
+	if reopened, err := cache.NewDirStore(cacheDir); err != nil {
+		t.Fatal(err)
+	} else if _, ok := reopened.Get(aged); ok {
 		t.Error("aged entry survived -cache-max-age")
 	}
 
@@ -413,7 +424,7 @@ func TestScheddCacheGC(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		"sched_cache_gc_runs_total",
-		"sched_cache_gc_tmp_removed_total 1",
+		"sched_cache_gc_tmp_removed_total 2",
 		"sched_cache_gc_evicted_entries_total 1",
 	} {
 		if !strings.Contains(string(body), want) {

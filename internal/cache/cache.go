@@ -5,9 +5,10 @@
 // machines. This package gives every work item a canonical byte
 // serialization, addresses cached values by the SHA-256 of those bytes
 // plus a configuration fingerprint, and stores values in two tiers —
-// an in-memory LRU and a persistent BlobStore (by default a directory
-// of one file per key; any implementation of the interface slots in,
-// which is what lets shards on different machines share one store).
+// an in-memory LRU and a persistent BlobStore (by default a DirStore:
+// a directory of append-only segment files, one per writer process;
+// any implementation of the interface slots in, which is what lets
+// shards on different machines share one store).
 //
 // Keys are *semantic*: the canonical bytes normalize away everything
 // the JSON readers already canonicalize (task IDs are positional,
@@ -16,9 +17,10 @@
 //
 // The disk tier is corruption-tolerant by contract: a missing,
 // truncated or garbled entry is a miss, never an error — callers
-// recompute and overwrite. Writes are atomic (temp file + rename) so
-// concurrent readers (shard subprocesses sharing a cache directory)
-// never observe a torn entry.
+// recompute and overwrite. Every record carries its full key and a
+// CRC, and a record is indexed only once it is complete, so concurrent
+// readers (shard subprocesses sharing a cache directory) never observe
+// a torn entry.
 //
 // All methods are safe for concurrent use.
 package cache
@@ -40,11 +42,12 @@ import (
 // and the configuration fingerprint.
 type Key [sha256.Size]byte
 
-// String renders the key as lowercase hex (the on-disk file stem).
+// String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// Hash64 folds the key to 64 bits — the shard-affinity hash: identical
-// items route to identical shards, keeping shard-local caches hot.
+// Hash64 folds the key to 64 bits — the shard-affinity hash (identical
+// items route to identical shards, keeping shard-local caches hot) and
+// DirStore's index key.
 func (k Key) Hash64() uint64 { return binary.BigEndian.Uint64(k[:8]) }
 
 // KeyFor addresses a value by canonical item bytes plus an opaque
@@ -122,9 +125,11 @@ func CanonicalGraph(g *dag.Graph) []byte {
 
 // Config parameterizes a Cache.
 type Config struct {
-	// Dir enables the on-disk tier: one file per key under this
-	// directory (created if absent), served through a DirStore. Empty
-	// disables it (unless Store supplies another persistent tier).
+	// Dir enables the on-disk tier: a DirStore over this directory
+	// (created if absent), which appends every entry to this process's
+	// own segment file and indexes the segments of every process that
+	// shares the directory. Empty disables it (unless Store supplies
+	// another persistent tier).
 	Dir string
 
 	// Store, when non-nil, is the persistent tier behind the memory
@@ -189,8 +194,10 @@ type Stats struct {
 	// GCEvictions and GCEvictedBytes count persistent-tier entries
 	// (and their bytes) removed by lifecycle sweeps' age/size caps.
 	GCEvictions, GCEvictedBytes int64
-	// GCTmpRemoved counts orphaned write intermediates collected.
-	GCTmpRemoved int64
+	// GCLegacyRemoved counts files of the one-file-per-key layout
+	// older versions wrote (<key>.json entries, put-*.tmp
+	// intermediates) that lifecycle sweeps removed.
+	GCLegacyRemoved int64
 	// GCVerifyRemoved counts garbage entries deleted by Verify.
 	GCVerifyRemoved int64
 }
@@ -199,8 +206,7 @@ type Stats struct {
 // usable; construct with New. A nil *Cache is a valid "caching off"
 // value: Get always misses and Put is a no-op.
 type Cache struct {
-	dir   string    // Dir-configured store location ("" when Store or memory-only)
-	store BlobStore // persistent tier; nil falls back to dir (see blob)
+	store BlobStore // persistent tier; nil when memory-only
 
 	mu       sync.Mutex
 	entries  map[Key]*entry
@@ -216,7 +222,7 @@ type Cache struct {
 	rejected                            atomic.Int64
 	puts, evictions, writeErrors        atomic.Int64
 	gcRuns, gcEvictions, gcEvictedBytes atomic.Int64
-	gcTmpRemoved, gcVerifyRemoved       atomic.Int64
+	gcLegacyRemoved, gcVerifyRemoved    atomic.Int64
 }
 
 // lifecycleDefaults are the Config-supplied caps a zero GCPolicy
@@ -266,25 +272,12 @@ func New(cfg Config) (*Cache, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.dir = cfg.Dir
 		c.store = st
 	}
 	if capN > 0 {
 		c.entries = make(map[Key]*entry)
 	}
 	return c, nil
-}
-
-// blob returns the persistent tier, deriving a DirStore on the fly for
-// caches assembled from a bare dir (the in-package tests' shortcut).
-func (c *Cache) blob() BlobStore {
-	if c.store != nil {
-		return c.store
-	}
-	if c.dir != "" {
-		return DirStore{dir: c.dir}
-	}
-	return nil
 }
 
 // Get returns the value stored at key. A memory hit refreshes the
@@ -306,8 +299,8 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 		}
 		c.mu.Unlock()
 	}
-	if st := c.blob(); st != nil {
-		if val, ok := st.Get(key); ok && len(val) > 0 {
+	if c.store != nil {
+		if val, ok := c.store.Get(key); ok && len(val) > 0 {
 			c.promote(key, val)
 			c.hits.Add(1)
 			c.diskHits.Add(1)
@@ -352,11 +345,10 @@ func (c *Cache) Put(key Key, val []byte) {
 	}
 	c.puts.Add(1)
 	c.promote(key, val)
-	st := c.blob()
-	if st == nil {
+	if c.store == nil {
 		return
 	}
-	if err := st.Put(key, val); err != nil {
+	if err := c.store.Put(key, val); err != nil {
 		c.writeErrors.Add(1)
 	}
 }
@@ -379,7 +371,7 @@ func (c *Cache) Stats() Stats {
 		GCRuns:          c.gcRuns.Load(),
 		GCEvictions:     c.gcEvictions.Load(),
 		GCEvictedBytes:  c.gcEvictedBytes.Load(),
-		GCTmpRemoved:    c.gcTmpRemoved.Load(),
+		GCLegacyRemoved: c.gcLegacyRemoved.Load(),
 		GCVerifyRemoved: c.gcVerifyRemoved.Load(),
 	}
 }
@@ -403,11 +395,6 @@ func (c *Cache) MemBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-// path is the disk location of a key under a Dir-configured store.
-func (c *Cache) path(key Key) string {
-	return DirStore{dir: c.dir}.path(key)
 }
 
 // promote inserts (or refreshes) a memory-tier entry, evicting from

@@ -170,35 +170,25 @@ func TestCorruptDiskEntriesAreMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey(2)
+	c.Put(key, []byte("front"))
+	seg := onlySegment(t, dir)
 
-	// Truncated-to-empty entry: miss.
-	if err := os.WriteFile(c.path(key), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A damaged value byte fails the CRC: a miss, not an error.
+	flipByte(t, seg, -1)
 	if _, ok := c.Get(key); ok {
-		t.Error("empty entry returned as a hit")
+		t.Error("damaged entry returned as a hit")
 	}
-
-	// Unreadable entry (a directory squatting on the path — robust even
-	// when the tests run as root, for whom mode bits are advisory):
-	// miss, not an error.
-	if err := os.Remove(c.path(key)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(c.path(key), 0o755); err != nil {
-		t.Fatal(err)
-	}
+	// So does a damaged key byte: the record is no longer key's.
+	flipByte(t, seg, -1)
+	flipByte(t, seg, 0)
 	if _, ok := c.Get(key); ok {
-		t.Error("unreadable entry returned as a hit")
+		t.Error("entry with a damaged key returned as a hit")
 	}
 	if st := c.Stats(); st.Misses != 2 {
 		t.Errorf("misses = %d, want 2", st.Misses)
 	}
 
 	// Recompute-and-overwrite heals the entry.
-	if err := os.Remove(c.path(key)); err != nil {
-		t.Fatal(err)
-	}
 	c.Put(key, []byte("good"))
 	if val, ok := c.Get(key); !ok || string(val) != "good" {
 		t.Errorf("healed entry = %q, %v", val, ok)
@@ -206,14 +196,17 @@ func TestCorruptDiskEntriesAreMisses(t *testing.T) {
 }
 
 func TestDiskWriteErrorsAreCountedNotFatal(t *testing.T) {
-	// Point the disk tier at a regular file so temp-file creation fails
-	// (mode-bit tricks are unreliable under root); the Put must be
-	// counted, not fatal.
-	file := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+	// Remove the directory under an open store so creating the
+	// writer's segment fails (mode-bit tricks are unreliable under
+	// root); the Put must be counted, not fatal.
+	dir := filepath.Join(t.TempDir(), "gone")
+	c, err := New(Config{Dir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Cache{dir: file}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
 	c.Put(testKey(3), []byte("v"))
 	if st := c.Stats(); st.WriteErrors != 1 {
 		t.Errorf("write errors = %d, want 1", st.WriteErrors)

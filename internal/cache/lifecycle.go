@@ -1,12 +1,11 @@
 package cache
 
-// Cache lifecycle: the persistent tier used to grow without bound —
-// every sweep wrote entries, nothing ever removed them, and a crash
-// between CreateTemp and Rename stranded a put-*.tmp file forever.
-// GC is the eviction sweep (age cap, then a size cap evicting oldest
-// first with a deterministic key tie-break, plus orphaned-tmp
-// collection); Verify is the integrity pass (decode every entry,
-// delete garbage).
+// Cache lifecycle: the persistent tier would grow without bound —
+// every sweep writes entries, and nothing else removes them. GC is the
+// eviction sweep (age cap, then a size cap evicting oldest first with
+// a deterministic key tie-break, then compaction of what a DirStore's
+// dead writers left); Verify is the integrity pass (decode every
+// entry, delete garbage).
 //
 // Both are safe to run concurrently with live readers and writers, in
 // this process or in others sharing the store: writes are atomic, so
@@ -23,11 +22,6 @@ import (
 	"time"
 )
 
-// DefaultTmpAge is the orphaned-tmp cutoff when GCPolicy.TmpAge is
-// zero: a put-*.tmp this old cannot belong to a live write (writes
-// complete in milliseconds), only to a process that died mid-Put.
-const DefaultTmpAge = time.Hour
-
 // GCPolicy parameterizes one eviction sweep. The zero value of
 // MaxBytes/MaxAge falls back to the cache Config's lifecycle caps;
 // negative values explicitly unbound the axis for this sweep.
@@ -43,12 +37,7 @@ type GCPolicy struct {
 	// fallback leaves the age axis unbounded.
 	MaxAge time.Duration
 
-	// TmpAge is the orphaned-tmp cutoff; 0 means DefaultTmpAge,
-	// negative collects every tmp file regardless of age (only safe
-	// when no writer is live).
-	TmpAge time.Duration
-
-	// Now overrides the sweep's clock — tests plant mtimes and sweep
+	// Now overrides the sweep's clock — tests plant write times and sweep
 	// against a pinned instant. Zero means time.Now().
 	Now time.Time
 }
@@ -63,25 +52,32 @@ type GCResult struct {
 	EvictedAge   int
 	EvictedSize  int
 	EvictedBytes int64
-	// TmpRemoved counts orphaned write intermediates collected.
-	TmpRemoved int
+	// LegacyRemoved counts files of the one-file-per-key layout older
+	// versions wrote (<key>.json entries, put-*.tmp intermediates)
+	// that the sweep removed without importing them.
+	LegacyRemoved int
+	// Compacted counts the segments of dead writers whose live records
+	// the sweep copied to a new segment before removing the files.
+	Compacted int
 	// Live and LiveBytes describe what remains.
 	Live      int
 	LiveBytes int64
 }
 
-// GC runs one eviction sweep over the persistent tier: collect
-// orphaned tmps, evict entries past the age cap, then evict
-// oldest-first (deterministic key tie-break) until under the size
-// cap. A cache without a persistent tier sweeps nothing. Entries that
-// vanish or fail to delete mid-sweep are tolerated — concurrent
-// writers and competing sweeps race benignly.
+// GC runs one eviction sweep over the persistent tier: evict entries
+// past the age cap, then evict oldest-first (deterministic key
+// tie-break) until under the size cap. Over a DirStore it then
+// removes the files older versions left and compacts the segments no
+// live writer holds, reclaiming the space of evicted, superseded and
+// damaged records. A cache without a persistent tier sweeps nothing.
+// Entries that vanish or fail to delete mid-sweep are tolerated —
+// concurrent writers and competing sweeps race benignly.
 func (c *Cache) GC(pol GCPolicy) (GCResult, error) {
 	var res GCResult
 	if c == nil {
 		return res, nil
 	}
-	st := c.blob()
+	st := c.store
 	if st == nil {
 		return res, nil
 	}
@@ -89,23 +85,6 @@ func (c *Cache) GC(pol GCPolicy) (GCResult, error) {
 	now := pol.Now
 	if now.IsZero() {
 		now = time.Now()
-	}
-	if sw, ok := st.(TmpSweeper); ok {
-		tmpAge := pol.TmpAge
-		if tmpAge == 0 {
-			tmpAge = DefaultTmpAge
-		}
-		if tmpAge < 0 {
-			// Collect everything: a far-future cutoff beats any mtime,
-			// including tmps written while this sweep runs.
-			tmpAge = -(1 << 62)
-		}
-		removed, err := sw.SweepOrphans(now.Add(-tmpAge))
-		res.TmpRemoved = removed
-		c.gcTmpRemoved.Add(int64(removed))
-		if err != nil {
-			return res, fmt.Errorf("cache: sweeping orphaned tmps: %w", err)
-		}
 	}
 
 	maxBytes := pol.MaxBytes
@@ -188,6 +167,15 @@ func (c *Cache) GC(pol GCPolicy) (GCResult, error) {
 		res.Live++
 		res.LiveBytes += info.Size
 	}
+
+	if ds, ok := st.(*DirStore); ok {
+		legacy, compacted, err := ds.compact()
+		res.LegacyRemoved, res.Compacted = legacy, compacted
+		c.gcLegacyRemoved.Add(int64(legacy))
+		if err != nil {
+			return res, fmt.Errorf("cache: compacting segments: %w", err)
+		}
+	}
 	return res, nil
 }
 
@@ -214,7 +202,7 @@ func (c *Cache) Verify(check func(key Key, val []byte) error) (VerifyResult, err
 	if c == nil {
 		return res, nil
 	}
-	st := c.blob()
+	st := c.store
 	if st == nil {
 		return res, nil
 	}

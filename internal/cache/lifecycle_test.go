@@ -2,77 +2,18 @@ package cache
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 )
 
-// plantEntry writes an entry through the store and pins its mtime so
-// sweeps rank it deterministically.
-func plantEntry(t *testing.T, dir string, key Key, val []byte, mtime time.Time) {
+// plantEntry writes an entry through the cache's store stamped with
+// mtime, so sweeps rank it deterministically.
+func plantEntry(t *testing.T, c *Cache, key Key, val []byte, mtime time.Time) {
 	t.Helper()
-	store := DirStore{dir: dir}
-	if err := store.Put(key, val); err != nil {
+	if err := c.store.(*DirStore).put(key, val, mtime.UnixNano()); err != nil {
 		t.Fatal(err)
-	}
-	if err := os.Chtimes(store.path(key), mtime, mtime); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The crash-simulation satellite: a process that died mid-Put leaves
-// put-*.tmp behind; gc collects the stale ones while an in-flight
-// write's fresh tmp — and every real entry — survives.
-func TestGCCollectsStaleTmpsKeepsInFlight(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	for i, age := range []time.Duration{3 * time.Hour, 26 * time.Hour} {
-		name := filepath.Join(dir, fmt.Sprintf("put-crashed%d.tmp", i))
-		if err := os.WriteFile(name, []byte("torn write"), 0o600); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Chtimes(name, now.Add(-age), now.Add(-age)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inflight := filepath.Join(dir, "put-inflight.tmp")
-	if err := os.WriteFile(inflight, []byte("still being written"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	c.Put(testKey(1), []byte("real entry"))
-
-	res, err := c.GC(GCPolicy{Now: now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TmpRemoved != 2 {
-		t.Errorf("TmpRemoved = %d, want 2", res.TmpRemoved)
-	}
-	if _, err := os.Stat(inflight); err != nil {
-		t.Error("in-flight tmp was collected by the default cutoff")
-	}
-	if val, ok := c.Get(testKey(1)); !ok || string(val) != "real entry" {
-		t.Errorf("real entry after gc = %q, %v", val, ok)
-	}
-	if got := c.Stats().GCTmpRemoved; got != 2 {
-		t.Errorf("Stats().GCTmpRemoved = %d, want 2", got)
-	}
-
-	// A second sweep with a negative cutoff collects the in-flight tmp
-	// too — the explicit "no writer is live" mode.
-	res, err = c.GC(GCPolicy{TmpAge: -1, Now: now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TmpRemoved != 1 {
-		t.Errorf("negative-cutoff sweep removed %d tmps, want 1", res.TmpRemoved)
 	}
 }
 
@@ -83,8 +24,8 @@ func TestGCAgeCapEvictsOldEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	plantEntry(t, dir, testKey(1), []byte("ancient"), now.Add(-48*time.Hour))
-	plantEntry(t, dir, testKey(2), []byte("recent"), now.Add(-time.Hour))
+	plantEntry(t, c, testKey(1), []byte("ancient"), now.Add(-48*time.Hour))
+	plantEntry(t, c, testKey(2), []byte("recent"), now.Add(-time.Hour))
 
 	res, err := c.GC(GCPolicy{MaxAge: 24 * time.Hour, Now: now})
 	if err != nil {
@@ -112,24 +53,24 @@ func TestGCSizeCapEvictsOldestFirstWithKeyTieBreak(t *testing.T) {
 	tied := []Key{keys[1], keys[2], keys[3]}
 	sort.Slice(tied, func(i, j int) bool { return tied[i].String() < tied[j].String() })
 
-	build := func(t *testing.T) (*Cache, string) {
+	build := func(t *testing.T) *Cache {
 		dir := t.TempDir()
 		c, err := New(Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plantEntry(t, dir, keys[0], []byte("0123456789"), now.Add(-time.Hour))
+		plantEntry(t, c, keys[0], []byte("0123456789"), now.Add(-time.Hour))
 		for _, k := range tied {
-			plantEntry(t, dir, k, []byte("0123456789"), now)
+			plantEntry(t, c, k, []byte("0123456789"), now)
 		}
-		return c, dir
+		return c
 	}
 
 	// Budget for two entries: the old one goes first, then the tied
 	// entry with the smallest key.
 	var survivors [][]Key
 	for range 2 {
-		c, _ := build(t)
+		c := build(t)
 		res, err := c.GC(GCPolicy{MaxBytes: 20, Now: now})
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +86,7 @@ func TestGCSizeCapEvictsOldestFirstWithKeyTieBreak(t *testing.T) {
 		}
 		var left []Key
 		for _, k := range keys {
-			if _, ok := (DirStore{dir: dirOf(c)}).Stat(k); ok {
+			if _, ok := c.store.Stat(k); ok {
 				left = append(left, k)
 			}
 		}
@@ -156,9 +97,6 @@ func TestGCSizeCapEvictsOldestFirstWithKeyTieBreak(t *testing.T) {
 	}
 }
 
-// dirOf recovers the Dir-configured location for test assertions.
-func dirOf(c *Cache) string { return c.dir }
-
 // Config caps are the zero GCPolicy's fallback — what schedd's
 // background ticker relies on.
 func TestGCZeroPolicyFallsBackToConfigCaps(t *testing.T) {
@@ -168,9 +106,9 @@ func TestGCZeroPolicyFallsBackToConfigCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	plantEntry(t, dir, testKey(1), []byte("stale entry"), now.Add(-48*time.Hour))
-	plantEntry(t, dir, testKey(2), []byte("0123456789"), now.Add(-2*time.Hour))
-	plantEntry(t, dir, testKey(3), []byte("0123456789"), now.Add(-time.Hour))
+	plantEntry(t, c, testKey(1), []byte("stale entry"), now.Add(-48*time.Hour))
+	plantEntry(t, c, testKey(2), []byte("0123456789"), now.Add(-2*time.Hour))
+	plantEntry(t, c, testKey(3), []byte("0123456789"), now.Add(-time.Hour))
 
 	res, err := c.GC(GCPolicy{Now: now})
 	if err != nil {
@@ -186,7 +124,7 @@ func TestGCZeroPolicyFallsBackToConfigCaps(t *testing.T) {
 		t.Error("newest entry lost")
 	}
 	// An explicitly negative policy unbinds the axis for one sweep.
-	plantEntry(t, dir, testKey(4), []byte("stale again"), now.Add(-48*time.Hour))
+	plantEntry(t, c, testKey(4), []byte("stale again"), now.Add(-48*time.Hour))
 	res, err = c.GC(GCPolicy{MaxBytes: -1, MaxAge: -1, Now: now})
 	if err != nil {
 		t.Fatal(err)
@@ -255,14 +193,15 @@ func TestVerifyRemovesGarbageKeepsDecodable(t *testing.T) {
 	c.Put(testKey(3), []byte("good-3"))
 	// Garbage lands on disk behind the cache's back (bit rot, a stray
 	// writer) — it never passes through the memory tier.
-	if err := (DirStore{dir: dir}).Put(testKey(2), []byte("BAD")); err != nil {
+	if err := c.store.Put(testKey(2), []byte("BAD")); err != nil {
 		t.Fatal(err)
 	}
-	// A truncated-to-empty blob: unreadable, removed regardless of the
-	// check.
-	if err := os.WriteFile(DirStore{dir: dir}.path(testKey(4)), nil, 0o644); err != nil {
+	// A record whose value no longer matches its CRC: unreadable,
+	// removed regardless of the check.
+	if err := c.store.Put(testKey(4), []byte("good-4")); err != nil {
 		t.Fatal(err)
 	}
+	flipByte(t, onlySegment(t, dir), -1)
 
 	check := func(_ Key, val []byte) error {
 		if len(val) >= 4 && string(val[:4]) == "good" {
@@ -278,7 +217,7 @@ func TestVerifyRemovesGarbageKeepsDecodable(t *testing.T) {
 		t.Errorf("Checked = %d, want 3 readable entries", res.Checked)
 	}
 	if res.Removed != 2 {
-		t.Errorf("Removed = %d, want 2 (one rejected, one empty)", res.Removed)
+		t.Errorf("Removed = %d, want 2 (one rejected, one damaged)", res.Removed)
 	}
 	for _, k := range []Key{testKey(1), testKey(3)} {
 		if _, ok := c.Get(k); !ok {
@@ -390,7 +329,7 @@ func TestGCConcurrentWithLiveTraffic(t *testing.T) {
 	if after.GCRuns <= before.GCRuns {
 		t.Errorf("GCRuns not monotone: %d then %d", before.GCRuns, after.GCRuns)
 	}
-	if after.GCEvictedBytes < before.GCEvictedBytes || after.GCTmpRemoved < before.GCTmpRemoved {
-		t.Error("gc byte/tmp counters regressed")
+	if after.GCEvictedBytes < before.GCEvictedBytes || after.GCLegacyRemoved < before.GCLegacyRemoved {
+		t.Error("gc byte/legacy counters regressed")
 	}
 }

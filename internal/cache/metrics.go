@@ -58,8 +58,8 @@ func (c *Cache) RegisterMetrics(reg *metrics.Registry) {
 		"bytes evicted by gc age/size caps",
 		c.gcEvictedBytes.Load)
 	reg.CounterFunc("sched_cache_gc_tmp_removed_total",
-		"orphaned write intermediates collected by gc",
-		c.gcTmpRemoved.Load)
+		"files of the one-file-per-key layout (<key>.json, put-*.tmp) removed by gc",
+		c.gcLegacyRemoved.Load)
 	reg.CounterFunc("sched_cache_gc_verify_removed_total",
 		"garbage entries deleted by integrity verification",
 		c.gcVerifyRemoved.Load)

@@ -2,10 +2,8 @@ package cache
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
@@ -72,7 +70,7 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDirStoreListSkipsStraysAndKeepsEmptyFiles(t *testing.T) {
+func TestDirStoreListSkipsStraysAndTombstones(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewDirStore(dir)
 	if err != nil {
@@ -82,83 +80,39 @@ func TestDirStoreListSkipsStraysAndKeepsEmptyFiles(t *testing.T) {
 	if err := store.Put(k, []byte("value")); err != nil {
 		t.Fatal(err)
 	}
-	// Strays that must not be listed: a tmp intermediate, a wrong-length
-	// name, a mixed-case alias of a valid key, a subdirectory.
-	for _, name := range []string{"put-123.tmp", "short.json", "README"} {
+	// A deleted key is a tombstone in the segment: not listed, a miss.
+	gone := testKey(4)
+	if err := store.Put(gone, []byte("deleted")); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	// Strays that must not be listed: files of the one-file-per-key
+	// layout, other names, and a directory named like a segment.
+	for _, name := range []string{"put-123.tmp", testKey(2).String() + ".json", "short.json", "README"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	upper := strings.ToUpper(testKey(2).String()) + blobSuffix
-	if err := os.WriteFile(filepath.Join(dir, upper), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(filepath.Join(dir, testKey(3).String()+blobSuffix), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// A truncated-to-empty entry is listed (size 0, so gc can collect
-	// it) but Get reports a miss.
-	empty := testKey(4)
-	if err := os.WriteFile(DirStore{dir: dir}.path(empty), nil, 0o644); err != nil {
+	if err := os.Mkdir(filepath.Join(dir, "seg-1-dir.log"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 
-	infos, err := store.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[Key]int64{}
-	for _, info := range infos {
-		got[info.Key] = info.Size
-	}
-	if len(got) != 2 || got[k] != int64(len("value")) {
-		t.Fatalf("List = %v, want exactly {k:5, empty:0}", infos)
-	}
-	if size, ok := got[empty]; !ok || size != 0 {
-		t.Errorf("empty entry listed as %d, %v; want 0, true", size, ok)
-	}
-	if _, ok := store.Get(empty); ok {
-		t.Error("Get on empty blob hit")
-	}
-}
-
-func TestDirStoreSweepOrphans(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewDirStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	stale := filepath.Join(dir, "put-stale1.tmp")
-	fresh := filepath.Join(dir, "put-fresh1.tmp")
-	for _, name := range []string{stale, fresh} {
-		if err := os.WriteFile(name, []byte("partial"), 0o600); err != nil {
+	for _, st := range []*DirStore{store, mustOpen(t, dir)} {
+		infos, err := st.List()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := os.Chtimes(stale, now.Add(-2*time.Hour), now.Add(-2*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	k := testKey(1)
-	if err := store.Put(k, []byte("value")); err != nil {
-		t.Fatal(err)
-	}
-
-	removed, err := store.SweepOrphans(now.Add(-time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("SweepOrphans removed %d, want 1", removed)
-	}
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Error("stale tmp survived the sweep")
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Error("in-flight (fresh) tmp was collected")
-	}
-	if _, ok := store.Get(k); !ok {
-		t.Error("real entry lost to the tmp sweep")
+		if len(infos) != 1 || infos[0].Key != k || infos[0].Size != int64(len("value")) {
+			t.Fatalf("List = %+v, want exactly {k, 5 bytes}", infos)
+		}
+		if _, ok := st.Get(gone); ok {
+			t.Error("Get on a deleted key hit")
+		}
+		if _, ok := st.Get(testKey(2)); ok {
+			t.Error("a <key>.json file of the old layout was served")
+		}
 	}
 }
 
@@ -175,9 +129,9 @@ func TestNewDirStoreRejectsEmptyAndBadDir(t *testing.T) {
 	}
 }
 
-// memStore is the pluggability proof: a map-backed BlobStore (no
-// TmpSweeper — a remote store has no tmp files) driving the same cache
-// and lifecycle paths DirStore does.
+// memStore is the pluggability proof: a map-backed BlobStore (nothing
+// to compact — a remote store reclaims its own space) driving the same
+// cache and lifecycle paths DirStore does.
 type memStore struct {
 	m map[Key][]byte
 	t map[Key]time.Time

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"storagesched/internal/cache"
@@ -129,7 +131,7 @@ func TestSweepBatchCacheByteIdenticalOffColdWarm(t *testing.T) {
 	}
 }
 
-// A corrupt or truncated on-disk entry must be treated as a miss: the
+// A corrupt or damaged on-disk entry must be treated as a miss: the
 // item recomputes, output is unchanged, and the entry heals.
 func TestSweepBatchCorruptCacheEntryRecomputes(t *testing.T) {
 	grid, err := GeometricGrid(2, 8, 3)
@@ -146,19 +148,39 @@ func TestSweepBatchCorruptCacheEntryRecomputes(t *testing.T) {
 	}
 	want := encodeAll(t, runBatch(t, items, BatchConfig{Config: cfg, Cache: c}))
 
-	// Corrupt every on-disk entry: truncate one, garble the rest.
-	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no cache entries on disk (err=%v)", err)
+	// Corrupt every on-disk entry: a later writer overwrites each with
+	// garbage, then dies with its last record damaged and a torn
+	// record after it.
+	entries := storeEntries(t, dir)
+	if len(entries) == 0 {
+		t.Fatal("no cache entries on disk")
 	}
-	for i, name := range names {
-		content := []byte("{\"v\":1,\"runs\":not json")
-		if i == 0 {
-			content = nil
-		}
-		if err := os.WriteFile(name, content, 0o644); err != nil {
+	before, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant, err := cache.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.SortedFunc(maps.Keys(entries), func(a, b cache.Key) int { return bytes.Compare(a[:], b[:]) })
+	for _, key := range keys {
+		if err := plant.Put(key, []byte("{\"v\":1,\"runs\":not json")); err != nil {
 			t.Fatal(err)
 		}
+	}
+	after, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(after) != len(before)+1 {
+		t.Fatalf("planting wrote %d segments (err=%v), want 1", len(after)-len(before), err)
+	}
+	seg := after[slices.IndexFunc(after, func(name string) bool { return !slices.Contains(before, name) })]
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(seg, append(data, "torn"...), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// A fresh cache over the same directory (cold memory tier) sees
@@ -289,4 +311,26 @@ func TestWireRoundTripPreservesRunErrors(t *testing.T) {
 	if back.Runs[0].Err == nil || back.Runs[0].Err.Error() != errForTest.Error() {
 		t.Errorf("run error round-trip = %v, want %v", back.Runs[0].Err, errForTest)
 	}
+}
+
+// storeEntries reads every entry the DirStore directory dir holds.
+func storeEntries(t *testing.T, dir string) map[cache.Key][]byte {
+	t.Helper()
+	st, err := cache.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make(map[cache.Key][]byte, len(infos))
+	for _, info := range infos {
+		val, ok := st.Get(info.Key)
+		if !ok {
+			t.Fatalf("listed entry %s misses", info.Key)
+		}
+		entries[info.Key] = val
+	}
+	return entries
 }

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,7 +48,7 @@ func midpointPlanner(grid []float64) Planner {
 // coldEntries sweeps items through a cold DirStore-backed cache (with
 // a refinement phase when plan is non-nil) and returns the emitted
 // results and every entry the sweep wrote.
-func coldEntries(t *testing.T, dir string, items []BatchItem, cfg BatchConfig, plan Planner) ([]BatchResult, map[string][]byte) {
+func coldEntries(t *testing.T, dir string, items []BatchItem, cfg BatchConfig, plan Planner) ([]BatchResult, map[cache.Key][]byte) {
 	t.Helper()
 	c, err := cache.New(cache.Config{Dir: dir})
 	if err != nil {
@@ -58,17 +56,9 @@ func coldEntries(t *testing.T, dir string, items []BatchItem, cfg BatchConfig, p
 	}
 	cfg.Cache = c
 	results := sweepItems(t, items, cfg, plan)
-	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("the cold sweep wrote no entries (err=%v)", err)
-	}
-	entries := make(map[string][]byte, len(names))
-	for _, name := range names {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries[filepath.Base(name)] = data
+	entries := storeEntries(t, dir)
+	if len(entries) == 0 {
+		t.Fatal("the cold sweep wrote no entries")
 	}
 	return results, entries
 }
@@ -475,7 +465,11 @@ func TestRejectedEntryCountsAsMiss(t *testing.T) {
 	if bytes.Equal(bad, want) {
 		t.Fatal("the corruption did not apply")
 	}
-	if err := os.WriteFile(filepath.Join(dir, key.String()+".json"), bad, 0o644); err != nil {
+	plant, err := cache.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plant.Put(key, bad); err != nil {
 		t.Fatal(err)
 	}
 
@@ -497,7 +491,7 @@ func TestRejectedEntryCountsAsMiss(t *testing.T) {
 		t.Fatal("the rejected entry was served, or the recompute differs")
 	}
 	check(c2, cache.Stats{Misses: 1, DiskHits: 1, Rejected: 1, Puts: 1})
-	if data, _ := os.ReadFile(filepath.Join(dir, key.String()+".json")); !bytes.Equal(data, want) {
+	if data := storeEntries(t, dir)[key]; !bytes.Equal(data, want) {
 		t.Error("the write-back did not heal the disk entry")
 	}
 
@@ -567,7 +561,7 @@ func TestBatchKeysUseEachItemsFingerprint(t *testing.T) {
 		BatchItem{Instance: gen.Uniform(20, 3, 9), Override: &over},
 		BatchItem{Graph: gen.LayeredDAG(3, 5, 3, 9), Override: &over},
 	)
-	want := map[string]bool{}
+	want := map[cache.Key]bool{}
 	for _, it := range items {
 		cfg := base
 		if it.Override != nil {
@@ -579,16 +573,16 @@ func TestBatchKeysUseEachItemsFingerprint(t *testing.T) {
 		} else {
 			key = cache.KeyFor(cache.CanonicalInstance(it.Instance), configFingerprint(cfg, false))
 		}
-		want[key.String()+".json"] = true
+		want[key] = true
 	}
 	dir := t.TempDir()
 	_, entries := coldEntries(t, dir, items, BatchConfig{Config: base}, nil)
 	if len(entries) != len(want) {
 		t.Errorf("the batch wrote %d entries, want %d", len(entries), len(want))
 	}
-	for name := range entries {
-		if !want[name] {
-			t.Errorf("entry %s is not keyed by its item's fingerprint", name)
+	for key := range entries {
+		if !want[key] {
+			t.Errorf("entry %s is not keyed by its item's fingerprint", key)
 		}
 	}
 }

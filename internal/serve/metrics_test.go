@@ -123,7 +123,7 @@ func TestMetricsCacheStatsParity(t *testing.T) {
 		GCRuns          int64 `json:"gc_runs"`
 		GCEvictions     int64 `json:"gc_evictions"`
 		GCEvictedBytes  int64 `json:"gc_evicted_bytes"`
-		GCTmpRemoved    int64 `json:"gc_tmp_removed"`
+		GCLegacyRemoved int64 `json:"gc_tmp_removed"`
 		GCVerifyRemoved int64 `json:"gc_verify_removed"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
@@ -151,7 +151,7 @@ func TestMetricsCacheStatsParity(t *testing.T) {
 		"sched_cache_gc_runs_total":            js.GCRuns,
 		"sched_cache_gc_evicted_entries_total": js.GCEvictions,
 		"sched_cache_gc_evicted_bytes_total":   js.GCEvictedBytes,
-		"sched_cache_gc_tmp_removed_total":     js.GCTmpRemoved,
+		"sched_cache_gc_tmp_removed_total":     js.GCLegacyRemoved,
 		"sched_cache_gc_verify_removed_total":  js.GCVerifyRemoved,
 	} {
 		if got := sampleInt(t, samples, key); got != want {

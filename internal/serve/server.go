@@ -445,7 +445,7 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 		GCRuns          int64 `json:"gc_runs"`
 		GCEvictions     int64 `json:"gc_evictions"`
 		GCEvictedBytes  int64 `json:"gc_evicted_bytes"`
-		GCTmpRemoved    int64 `json:"gc_tmp_removed"`
+		GCLegacyRemoved int64 `json:"gc_tmp_removed"`
 		GCVerifyRemoved int64 `json:"gc_verify_removed"`
 	}
 	var body statsBody
@@ -466,7 +466,7 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 			GCRuns:          st.GCRuns,
 			GCEvictions:     st.GCEvictions,
 			GCEvictedBytes:  st.GCEvictedBytes,
-			GCTmpRemoved:    st.GCTmpRemoved,
+			GCLegacyRemoved: st.GCLegacyRemoved,
 			GCVerifyRemoved: st.GCVerifyRemoved,
 		}
 	}

@@ -466,11 +466,11 @@ type (
 	BlobStore = cache.BlobStore
 	// BlobInfo describes one stored blob (key, size, mod time).
 	BlobInfo = cache.BlobInfo
-	// DirStore is the directory-backed BlobStore — one file per key,
-	// atomic via temp file + rename.
+	// DirStore is the directory-backed BlobStore — append-only segment
+	// files, one per writer process, indexed when the store opens.
 	DirStore = cache.DirStore
 	// CacheGCPolicy parameterizes one lifecycle eviction sweep (size
-	// cap, age cap, orphaned-tmp cutoff).
+	// cap, age cap).
 	CacheGCPolicy = cache.GCPolicy
 	// CacheGCResult reports what one eviction sweep saw and did.
 	CacheGCResult = cache.GCResult
@@ -480,7 +480,7 @@ type (
 
 // NewDirStore opens (creating if absent) a directory blob store — the
 // same store CacheConfig.Dir builds implicitly.
-func NewDirStore(dir string) (DirStore, error) { return cache.NewDirStore(dir) }
+func NewDirStore(dir string) (*DirStore, error) { return cache.NewDirStore(dir) }
 
 // NewSweepCache builds a front cache; wire it into a batch via
 // BatchConfig.Cache. Results served from it reproduce the front

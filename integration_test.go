@@ -161,7 +161,7 @@ func TestIntegrationGeneratedFrontPipeline(t *testing.T) {
 		t.Fatal("empty generated front")
 	}
 	for _, p := range res.Front {
-		sc := ScheduleFromAssignment(in, res.Runs[p.RunIndex].Assignment)
+		sc := ScheduleFromAssignment(in, sweepWitness(t, in, res.Runs[p.RunIndex]))
 		rep, err := ReplaySchedule(sc, nil, 0)
 		if err != nil {
 			t.Fatalf("witness replay: %v", err)

@@ -89,7 +89,7 @@ func ForInstance(in *model.Instance) Record {
 	r.MaxS = in.MaxS()
 	r.MemOverM = ceilDiv(in.TotalMem(), int64(in.M))
 	r.MmaxLB = maxM(r.MaxS, r.MemOverM)
-	r.SumCiLB = SumCiSPT(in.P(), in.M)
+	r.SumCiLB = sumCiSorting(in.P(), in.M) // in.P() is a fresh copy
 	return r
 }
 
@@ -123,11 +123,16 @@ func ForGraph(g *dag.Graph) (Record, error) {
 // recalled in Section 5.2), so this is the exact optimum on independent
 // tasks and a lower bound with precedence constraints.
 func SumCiSPT(p []model.Time, m int) model.Time {
-	sorted := slices.Clone(p)
-	slices.Sort(sorted)
+	return sumCiSorting(slices.Clone(p), m)
+}
+
+// sumCiSorting is SumCiSPT that sorts p in place, for callers that own
+// p.
+func sumCiSorting(p []model.Time, m int) model.Time {
+	slices.Sort(p)
 	loads := make([]model.Time, m)
 	var total model.Time
-	for _, x := range sorted {
+	for _, x := range p {
 		q := argminT(loads)
 		loads[q] += x
 		total += loads[q]

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"storagesched/internal/bounds"
 	"storagesched/internal/dag"
 	"storagesched/internal/makespan"
 	"storagesched/internal/model"
@@ -137,7 +136,7 @@ func (prep *SBOPrepared) Constrained(capM model.Mem, steps int) (*ConstrainedSBO
 		steps = 32
 	}
 	in := prep.in
-	lb := bounds.MemLB(prep.s, in.M)
+	lb := instanceMemLB(in)
 	if capM < lb {
 		return nil, fmt.Errorf("%w (LB=%d, budget=%d)", ErrInfeasible, lb, capM)
 	}

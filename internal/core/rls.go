@@ -153,11 +153,8 @@ func RLS(g *dag.Graph, delta float64, tie TieBreak) (*RLSResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkRLSDelta(delta); err != nil {
-		return nil, err
-	}
 	lb := bounds.MemLB(g.S, g.M)
-	cap, err := MemCap(delta, lb)
+	cap, err := deltaCap(delta, lb)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +310,7 @@ func rlsWithCap(g *dag.Graph, cap model.Mem, tie TieBreak) (*RLSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rlsRanked(g, rank, predCounts(g), cap, nil)
+	return rankedWitness(g, rank, predCounts(g), cap)
 }
 
 // predCounts returns the per-task predecessor counts that seed the
@@ -373,27 +370,68 @@ func raise(procs []int, load []model.Time, pos int) {
 	procs[pos] = j
 }
 
+// rlsOut is where an RLS loop writes its witness: π and σ, one entry
+// per task, and the Lemma 4 marks, one per processor. proc starts at -1
+// for every task and marked all false. A caller that returns the
+// witness passes the fresh buffers of newRLSResult; a caller that needs
+// only the value passes its Scratch's (Scratch.rlsOut).
+type rlsOut struct {
+	proc   []int
+	start  []model.Time
+	marked []bool
+}
+
+// newRLSResult allocates the witness of one RLS run under cap over n
+// tasks on m processors; the caller fills in the task sizes, and out()
+// hands the loop the rest.
+func newRLSResult(m, n int, cap model.Mem) *RLSResult {
+	return &RLSResult{Schedule: model.NewSchedule(m, n), Cap: cap, Marked: make([]bool, m)}
+}
+
+func (r *RLSResult) out() rlsOut {
+	return rlsOut{proc: r.Schedule.Proc, start: r.Schedule.Start, marked: r.Marked}
+}
+
+// rankedWitness runs rlsRanked into fresh buffers and returns the
+// witness.
+func rankedWitness(g *dag.Graph, rank, npreds []int, cap model.Mem) (*RLSResult, error) {
+	res := newRLSResult(g.M, g.N(), cap)
+	copy(res.Schedule.P, g.P)
+	copy(res.Schedule.S, g.S)
+	v, sumCi, err := rlsRanked(g, rank, npreds, cap, nil, res.out())
+	if err != nil {
+		return nil, err
+	}
+	res.Cmax, res.Mmax, res.SumCi = v.Cmax, v.Mmax, sumCi
+	return res, nil
+}
+
+// rankedValue runs rlsRanked into scr's buffers and returns only the
+// value; it allocates nothing once scr is warm.
+func rankedValue(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (model.Value, error) {
+	scr, pooled := borrowScratch(scr)
+	defer releaseScratch(scr, pooled)
+	v, _, err := rlsRanked(g, rank, npreds, cap, scr, scr.rlsOut(g.N(), g.M))
+	return v, err
+}
+
 // rlsRanked is the Algorithm 2 loop with a precomputed tie rank and
-// predecessor counts. It never mutates rank or npreds, so prepared
-// sweeps may run it concurrently against shared slices. scr may be nil;
-// only buffers that escape into the result are freshly allocated.
+// predecessor counts. It writes the schedule into out and returns its
+// (Cmax, Mmax) and ΣCi. It never mutates rank or npreds, so prepared
+// sweeps may run it concurrently against shared slices. scr may be nil.
 //
 // Each step scans only the ready list. Rank is a permutation, so the
 // (start, rank) minimum it picks does not depend on the list's order.
-func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*RLSResult, error) {
+func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch, out rlsOut) (model.Value, model.Time, error) {
 	scr, pooled := borrowScratch(scr)
 	defer releaseScratch(scr, pooled)
 	n := g.N()
 	m := g.M
 
-	sc := model.NewSchedule(m, n)
-	copy(sc.P, g.P)
-	copy(sc.S, g.S)
-
+	s := g.S
 	load := scr.loads(m)
 	memsize := scr.mems(m)
 	procs := scr.procOrder(m)
-	marked := make([]bool, m) // escapes via RLSResult.Marked
 	pendingPreds := scr.predsBuf(npreds)
 	readyTime := scr.readyBuf(n) // max over preds of completion
 	ready := scr.readyList(n)
@@ -407,41 +445,46 @@ func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*
 	for scheduled := 0; scheduled < n; scheduled++ {
 		best, bestPos := -1, -1 // index into ready, position in procs
 		var bestStart model.Time
-		markTo := 0
+		var bestRank, lastPos int
+		// A task that fits on the least-loaded processor goes there;
+		// the others search procs.
+		free0, load0 := cap-memsize[procs[0]], load[procs[0]]
 		for r, i := range ready {
-			pos := firstFeasible(procs, memsize, g.S[i], cap)
-			if pos < 0 {
-				// No processor can take this task. Another ready
-				// task might still fit; defer i.
-				continue
+			pos, at := 0, load0
+			if s[i] > free0 {
+				if pos = firstFeasible(procs, memsize, s[i], cap); pos < 0 {
+					// No processor can take this task. Another ready
+					// task might still fit; defer i.
+					continue
+				}
+				lastPos = max(lastPos, pos)
+				at = load[procs[pos]]
 			}
-			// Analysis bookkeeping (Lemma 4): every processor with a
-			// smaller load than the chosen one was skipped because
-			// of memory. The marked sets of one step are nested
-			// prefixes of procs, so the longest covers them all.
-			if k := lowerPrefix(procs, load, pos); k > markTo {
-				markTo = k
-			}
-			start := max(readyTime[i], load[procs[pos]])
-			if best < 0 || start < bestStart || (start == bestStart && rank[i] < rank[ready[best]]) {
-				best, bestPos, bestStart = r, pos, start
+			start := max(readyTime[i], at)
+			if best < 0 || start < bestStart || (start == bestStart && rank[i] < bestRank) {
+				best, bestPos, bestStart, bestRank = r, pos, start, rank[i]
 			}
 		}
 		if best < 0 {
-			return nil, ErrCapTooSmall{Task: firstUnscheduled(sc.Proc), Cap: cap}
+			return model.Value{}, 0, ErrCapTooSmall{Task: firstUnscheduled(out.proc), Cap: cap}
 		}
-		for _, j := range procs[:markTo] {
-			marked[j] = true
+		// Analysis bookkeeping (Lemma 4): for each ready task, every
+		// processor with a smaller load than its chosen one was skipped
+		// because of memory. Those sets are prefixes of procs that grow
+		// with the position, so the one of the last position covers
+		// them all.
+		for _, j := range procs[:lowerPrefix(procs, load, lastPos)] {
+			out.marked[j] = true
 		}
 		i := ready[best]
 		ready[best] = ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		proc := procs[bestPos]
 		end := bestStart + g.P[i]
-		sc.Proc[i] = proc
-		sc.Start[i] = bestStart
+		out.proc[i] = proc
+		out.start[i] = bestStart
 		load[proc] = end
-		memsize[proc] += g.S[i]
+		memsize[proc] += s[i]
 		raise(procs, load, bestPos)
 		sumCi += end
 		for _, w := range g.Succs(i) {
@@ -456,20 +499,13 @@ func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*
 
 	// The objectives fall out of the loop's own bookkeeping: the final
 	// per-processor loads and memory sizes are exactly what
-	// sc.Cmax()/sc.Mmax() would recompute, and ΣCi accumulated per task.
-	res := &RLSResult{
-		Schedule: sc,
-		Cap:      cap,
-		Marked:   marked,
-		Cmax:     maxTimeOf(load),
-		Mmax:     maxMemOf(memsize),
-		SumCi:    sumCi,
-	}
-	return res, nil
+	// Schedule.Cmax()/Mmax() would recompute, and ΣCi accumulated per
+	// task.
+	return model.Value{Cmax: maxTimeOf(load), Mmax: maxMemOf(memsize)}, sumCi, nil
 }
 
 // firstUnscheduled returns the lowest task that proc leaves unplaced
-// (model.NewSchedule starts every task at -1).
+// (rlsOut starts every task at -1).
 func firstUnscheduled(proc []int) int {
 	return slices.Index(proc, -1)
 }
@@ -484,11 +520,8 @@ func RLSIndependent(in *model.Instance, delta float64, tie TieBreak) (*RLSResult
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkRLSDelta(delta); err != nil {
-		return nil, err
-	}
-	lb := bounds.MemLB(in.S(), in.M)
-	cap, err := MemCap(delta, lb)
+	lb := instanceMemLB(in)
+	cap, err := deltaCap(delta, lb)
 	if err != nil {
 		return nil, err
 	}
@@ -510,7 +543,7 @@ func RLSIndependentWithCap(in *model.Instance, cap model.Mem, tie TieBreak) (*RL
 	if err != nil {
 		return nil, err
 	}
-	res.LB = bounds.MemLB(in.S(), in.M)
+	res.LB = instanceMemLB(in)
 	if res.LB > 0 {
 		res.Delta = float64(cap) / float64(res.LB)
 	}
@@ -523,60 +556,79 @@ func rlsIndependentWithCap(in *model.Instance, cap model.Mem, tie TieBreak) (*RL
 	if err != nil {
 		return nil, err
 	}
-	return rlsIndependentOrdered(in, order, cap, nil)
+	return independentWitness(in, order, cap)
+}
+
+// instanceMemLB is bounds.MemLB(in.S(), in.M), max(max s_i, ⌈Σs_i/m⌉),
+// without copying the sizes out of the instance.
+func instanceMemLB(in *model.Instance) model.Mem {
+	m := model.Mem(in.M)
+	return max(in.MaxS(), (in.TotalMem()+m-1)/m)
+}
+
+// independentWitness runs rlsIndependentOrdered into fresh buffers and
+// returns the witness.
+func independentWitness(in *model.Instance, order []int, cap model.Mem) (*RLSResult, error) {
+	res := newRLSResult(in.M, in.N(), cap)
+	for i, t := range in.Tasks {
+		res.Schedule.P[i] = t.P
+		res.Schedule.S[i] = t.S
+	}
+	v, sumCi, err := rlsIndependentOrdered(in, order, cap, nil, res.out())
+	if err != nil {
+		return nil, err
+	}
+	res.Cmax, res.Mmax, res.SumCi = v.Cmax, v.Mmax, sumCi
+	return res, nil
+}
+
+// independentValue runs rlsIndependentOrdered into scr's buffers and
+// returns only the value; it allocates nothing once scr is warm.
+func independentValue(in *model.Instance, order []int, cap model.Mem, scr *Scratch) (model.Value, error) {
+	scr, pooled := borrowScratch(scr)
+	defer releaseScratch(scr, pooled)
+	v, _, err := rlsIndependentOrdered(in, order, cap, scr, scr.rlsOut(in.N(), in.M))
+	return v, err
 }
 
 // rlsIndependentOrdered is the Section 5.2 loop with a precomputed
-// scheduling order. It never mutates order, so prepared sweeps may run
-// it concurrently against a shared order slice. scr may be nil; only
-// buffers that escape into the result are freshly allocated.
-func rlsIndependentOrdered(in *model.Instance, order []int, cap model.Mem, scr *Scratch) (*RLSResult, error) {
+// scheduling order. It writes the schedule into out and returns its
+// (Cmax, Mmax) and ΣCi. It never mutates order, so prepared sweeps may
+// run it concurrently against a shared order slice. scr may be nil.
+func rlsIndependentOrdered(in *model.Instance, order []int, cap model.Mem, scr *Scratch, out rlsOut) (model.Value, model.Time, error) {
 	scr, pooled := borrowScratch(scr)
 	defer releaseScratch(scr, pooled)
-	n, m := in.N(), in.M
-	sc := model.NewSchedule(m, n)
-	for i, t := range in.Tasks {
-		sc.P[i] = t.P
-		sc.S[i] = t.S
-	}
+	m := in.M
 	load := scr.loads(m)
 	memsize := scr.mems(m)
 	procs := scr.procOrder(m)
-	marked := make([]bool, m) // escapes via RLSResult.Marked
 	var sumCi model.Time
 	for _, i := range order {
 		t := in.Tasks[i]
 		pos := firstFeasible(procs, memsize, t.S, cap)
 		if pos < 0 {
-			return nil, ErrCapTooSmall{Task: i, Cap: cap}
+			return model.Value{}, 0, ErrCapTooSmall{Task: i, Cap: cap}
 		}
 		// Lemma 4 bookkeeping, as in rlsRanked.
 		for _, j := range procs[:lowerPrefix(procs, load, pos)] {
-			marked[j] = true
+			out.marked[j] = true
 		}
 		proc := procs[pos]
-		sc.Proc[i] = proc
-		sc.Start[i] = load[proc]
+		out.proc[i] = proc
+		out.start[i] = load[proc]
 		load[proc] += t.P
 		memsize[proc] += t.S
 		raise(procs, load, pos)
 		sumCi += load[proc]
 	}
-	return &RLSResult{
-		Schedule: sc,
-		Cap:      cap,
-		Marked:   marked,
-		Cmax:     maxTimeOf(load),
-		Mmax:     maxMemOf(memsize),
-		SumCi:    sumCi,
-	}, nil
+	return model.Value{Cmax: maxTimeOf(load), Mmax: maxMemOf(memsize)}, sumCi, nil
 }
 
 // RLSPrepared memoizes the δ-independent work of RLSIndependent —
 // instance validation, the Graham memory lower bound, and the
 // tie-break orders — so a δ-sweep pays each exactly once per instance.
 // The prepared value is immutable after PrepareRLSIndependent and safe
-// for concurrent Run calls.
+// for concurrent Run and Value calls.
 type RLSPrepared struct {
 	in     *model.Instance
 	lb     model.Mem
@@ -606,51 +658,52 @@ func PrepareRLSIndependent(in *model.Instance, ties ...TieBreak) (*RLSPrepared, 
 		}
 		orders[tie] = order
 	}
-	return &RLSPrepared{in: in, lb: bounds.MemLB(in.S(), in.M), orders: orders}, nil
+	return &RLSPrepared{in: in, lb: instanceMemLB(in), orders: orders}, nil
 }
 
 // LB returns the memoized Graham memory lower bound.
 func (prep *RLSPrepared) LB() model.Mem { return prep.lb }
 
-// Run executes one RLS∆ evaluation against the prepared state.
+// Run executes one RLS∆ evaluation against the prepared state and
+// returns its witness.
 func (prep *RLSPrepared) Run(delta float64, tie TieBreak) (*RLSResult, error) {
-	return prep.RunScratch(delta, tie, nil)
-}
-
-// RunScratch is Run with caller-owned scratch buffers: the sweep
-// engine's workers hold one Scratch each, so a warm sweep allocates
-// only what escapes into the result. A nil scr borrows from the
-// internal pool.
-func (prep *RLSPrepared) RunScratch(delta float64, tie TieBreak, scr *Scratch) (*RLSResult, error) {
-	if err := checkRLSDelta(delta); err != nil {
-		return nil, err
-	}
-	cap, err := MemCap(delta, prep.lb)
+	cap, err := deltaCap(delta, prep.lb)
 	if err != nil {
 		return nil, err
 	}
-	order, ok := prep.orders[tie]
-	if !ok {
-		return nil, fmt.Errorf("core: tie-break %s not prepared", tie)
-	}
-	res, err := rlsIndependentOrdered(prep.in, order, cap, scr)
+	res, err := prep.RunWithCap(cap, tie)
 	if err != nil {
 		return nil, err
 	}
 	res.Delta = delta
-	res.LB = prep.lb
 	return res, nil
+}
+
+// Value is Run's (Cmax, Mmax) without the witness. scr is the caller's
+// scratch (nil borrows from the internal pool); with a warm one, Value
+// allocates nothing. The sweep engine's workers call it, one Scratch
+// each.
+func (prep *RLSPrepared) Value(delta float64, tie TieBreak, scr *Scratch) (model.Value, error) {
+	cap, err := deltaCap(delta, prep.lb)
+	if err != nil {
+		return model.Value{}, err
+	}
+	order, err := prep.order(tie)
+	if err != nil {
+		return model.Value{}, err
+	}
+	return independentValue(prep.in, order, cap, scr)
 }
 
 // RunWithCap executes one evaluation under an explicit per-processor
 // budget against the prepared state; it matches
 // RLSIndependentWithCap(in, cap, tie) bit for bit.
 func (prep *RLSPrepared) RunWithCap(cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	order, ok := prep.orders[tie]
-	if !ok {
-		return nil, fmt.Errorf("core: tie-break %s not prepared", tie)
+	order, err := prep.order(tie)
+	if err != nil {
+		return nil, err
 	}
-	res, err := rlsIndependentOrdered(prep.in, order, cap, nil)
+	res, err := independentWitness(prep.in, order, cap)
 	if err != nil {
 		return nil, err
 	}
@@ -661,11 +714,29 @@ func (prep *RLSPrepared) RunWithCap(cap model.Mem, tie TieBreak) (*RLSResult, er
 	return res, nil
 }
 
+func (prep *RLSPrepared) order(tie TieBreak) ([]int, error) {
+	order, ok := prep.orders[tie]
+	if !ok {
+		return nil, fmt.Errorf("core: tie-break %s not prepared", tie)
+	}
+	return order, nil
+}
+
+// deltaCap validates an RLS parameter and returns the budget ⌊∆·LB⌋
+// it enforces.
+func deltaCap(delta float64, lb model.Mem) (model.Mem, error) {
+	if err := checkRLSDelta(delta); err != nil {
+		return 0, err
+	}
+	return MemCap(delta, lb)
+}
+
 // RLSGraphPrepared memoizes the δ-independent work of RLS on a task
 // DAG — validation (including the topological cycle check), the Graham
 // memory lower bound and the tie-break ranks — so a
 // δ-sweep pays each exactly once per graph. The prepared value is
-// immutable after PrepareRLS and safe for concurrent Run calls.
+// immutable after PrepareRLS and safe for concurrent Run and Value
+// calls.
 type RLSGraphPrepared struct {
 	g      *dag.Graph
 	lb     model.Mem
@@ -713,23 +784,14 @@ func PrepareRLS(g *dag.Graph, ties ...TieBreak) (*RLSGraphPrepared, error) {
 // LB returns the memoized Graham memory lower bound.
 func (prep *RLSGraphPrepared) LB() model.Mem { return prep.lb }
 
-// Run executes one RLS∆ evaluation against the prepared state; it
-// matches RLS(g, delta, tie) bit for bit.
+// Run executes one RLS∆ evaluation against the prepared state and
+// returns its witness; it matches RLS(g, delta, tie) bit for bit.
 func (prep *RLSGraphPrepared) Run(delta float64, tie TieBreak) (*RLSResult, error) {
-	return prep.RunScratch(delta, tie, nil)
-}
-
-// RunScratch is Run with caller-owned scratch buffers; a nil scr
-// borrows from the internal pool.
-func (prep *RLSGraphPrepared) RunScratch(delta float64, tie TieBreak, scr *Scratch) (*RLSResult, error) {
-	if err := checkRLSDelta(delta); err != nil {
-		return nil, err
-	}
-	cap, err := MemCap(delta, prep.lb)
+	cap, err := deltaCap(delta, prep.lb)
 	if err != nil {
 		return nil, err
 	}
-	res, err := prep.runRanked(tie, cap, scr)
+	res, err := prep.RunWithCap(cap, tie)
 	if err != nil {
 		return nil, err
 	}
@@ -737,28 +799,43 @@ func (prep *RLSGraphPrepared) RunScratch(delta float64, tie TieBreak, scr *Scrat
 	return res, nil
 }
 
+// Value is Run's (Cmax, Mmax) without the witness. scr is the caller's
+// scratch (nil borrows from the internal pool); with a warm one, Value
+// allocates nothing.
+func (prep *RLSGraphPrepared) Value(delta float64, tie TieBreak, scr *Scratch) (model.Value, error) {
+	cap, err := deltaCap(delta, prep.lb)
+	if err != nil {
+		return model.Value{}, err
+	}
+	rank, err := prep.rank(tie)
+	if err != nil {
+		return model.Value{}, err
+	}
+	return rankedValue(prep.g, rank, prep.npreds, cap, scr)
+}
+
 // RunWithCap executes one evaluation under an explicit per-processor
 // budget; it matches RLSWithCap(g, cap, tie) bit for bit.
 func (prep *RLSGraphPrepared) RunWithCap(cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	res, err := prep.runRanked(tie, cap, nil)
+	rank, err := prep.rank(tie)
 	if err != nil {
 		return nil, err
 	}
+	res, err := rankedWitness(prep.g, rank, prep.npreds, cap)
+	if err != nil {
+		return nil, err
+	}
+	res.LB = prep.lb
 	if prep.lb > 0 {
 		res.Delta = float64(cap) / float64(prep.lb)
 	}
 	return res, nil
 }
 
-func (prep *RLSGraphPrepared) runRanked(tie TieBreak, cap model.Mem, scr *Scratch) (*RLSResult, error) {
+func (prep *RLSGraphPrepared) rank(tie TieBreak) ([]int, error) {
 	rank, ok := prep.ranks[tie]
 	if !ok {
 		return nil, fmt.Errorf("core: tie-break %s not prepared", tie)
 	}
-	res, err := rlsRanked(prep.g, rank, prep.npreds, cap, scr)
-	if err != nil {
-		return nil, err
-	}
-	res.LB = prep.lb
-	return res, nil
+	return rank, nil
 }

@@ -41,8 +41,10 @@ func diffCaps(lb model.Mem) []model.Mem {
 
 // checkRankedAgainstRef runs the production DAG loop and the reference
 // on every tie and cap and requires equal results — every RLSResult
-// field, Marked included — or equal errors. scr is reused across runs,
-// so stale scratch state would show. It returns how many runs failed
+// field, Marked included — or equal errors. It runs the loop's value
+// form too, which must return the reference's (Cmax, Mmax) or its
+// error; scr backs the value form and is reused across runs, so stale
+// scratch state would show. It returns how many runs failed
 // (identically) with ErrCapTooSmall.
 func checkRankedAgainstRef(t testing.TB, name string, g *dag.Graph, scr *Scratch) (fails int) {
 	t.Helper()
@@ -61,7 +63,7 @@ func checkRankedAgainstRef(t testing.TB, name string, g *dag.Graph, scr *Scratch
 		}
 		rank := rankOf(order)
 		for _, cap := range diffCaps(bounds.MemLB(g.S, g.M)) {
-			got, gotErr := rlsRanked(g, rank, npreds, cap, scr)
+			got, gotErr := rankedWitness(g, rank, npreds, cap)
 			want, wantErr := refRLSRanked(g, rank, npreds, cap)
 			if !reflect.DeepEqual(gotErr, wantErr) {
 				t.Fatalf("%s %s cap=%d: error %v, reference %v", name, tie, cap, gotErr, wantErr)
@@ -69,6 +71,8 @@ func checkRankedAgainstRef(t testing.TB, name string, g *dag.Graph, scr *Scratch
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %s cap=%d: result differs from the reference\ngot  %+v\nwant %+v", name, tie, cap, got, want)
 			}
+			v, vErr := rankedValue(g, rank, npreds, cap, scr)
+			checkValueAgainstRef(t, fmt.Sprintf("%s %s cap=%d", name, tie, cap), v, vErr, want, wantErr)
 			if gotErr != nil {
 				fails++
 			}
@@ -94,7 +98,7 @@ func checkIndependentAgainstRef(t testing.TB, name string, in *model.Instance, s
 			t.Fatalf("%s %s: order %v, reference %v", name, tie, order, want)
 		}
 		for _, cap := range diffCaps(bounds.MemLB(in.S(), in.M)) {
-			got, gotErr := rlsIndependentOrdered(in, order, cap, scr)
+			got, gotErr := independentWitness(in, order, cap)
 			want, wantErr := refRLSIndependentOrdered(in, order, cap)
 			if !reflect.DeepEqual(gotErr, wantErr) {
 				t.Fatalf("%s %s cap=%d: error %v, reference %v", name, tie, cap, gotErr, wantErr)
@@ -102,12 +106,26 @@ func checkIndependentAgainstRef(t testing.TB, name string, in *model.Instance, s
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %s cap=%d: result differs from the reference\ngot  %+v\nwant %+v", name, tie, cap, got, want)
 			}
+			v, vErr := independentValue(in, order, cap, scr)
+			checkValueAgainstRef(t, fmt.Sprintf("%s %s cap=%d", name, tie, cap), v, vErr, want, wantErr)
 			if gotErr != nil {
 				fails++
 			}
 		}
 	}
 	return fails
+}
+
+// checkValueAgainstRef requires a value-form run to return the
+// reference's error, or its (Cmax, Mmax).
+func checkValueAgainstRef(t testing.TB, name string, v model.Value, err error, want *RLSResult, wantErr error) {
+	t.Helper()
+	if !reflect.DeepEqual(err, wantErr) {
+		t.Fatalf("%s: value form error %v, reference %v", name, err, wantErr)
+	}
+	if wantErr == nil && v != (model.Value{Cmax: want.Cmax, Mmax: want.Mmax}) {
+		t.Fatalf("%s: value form %v, reference (%d,%d)", name, v, want.Cmax, want.Mmax)
+	}
 }
 
 // zeroHeavyGraph is a random DAG whose p and s values are drawn from a
@@ -134,7 +152,8 @@ func zeroHeavyGraph(rng *rand.Rand, m, n int, edgeProb float64) *dag.Graph {
 // TestRLSLoopsMatchReference is the differential oracle of the
 // sorted-processor, ready-list loops: across every DAG family,
 // edgeless graphs, chains, m = 1, zero-p and zero-s tasks, each tie and
-// caps from LB to 8·LB, both loops equal the test-only references.
+// caps from LB to 8·LB, both loops equal the test-only references, in
+// witness and in value form.
 func TestRLSLoopsMatchReference(t *testing.T) {
 	scr := NewScratch()
 	var dagFails, indepFails int
@@ -177,7 +196,8 @@ func TestRLSLoopsMatchReference(t *testing.T) {
 
 // FuzzRLSLoop decodes a small task DAG from the fuzzer's bytes — m,
 // then (p, s) pairs, then forward edges — and checks both production
-// loops against the references on every tie and cap.
+// loops, witness and value forms, against the references on every tie
+// and cap.
 func FuzzRLSLoop(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 0, 2, 5, 0, 1, 1, 1, 2, 0, 2})
 	f.Add([]byte{0, 0, 0, 0, 0})
@@ -213,7 +233,8 @@ func FuzzRLSLoop(f *testing.F) {
 				g.AddEdge(u, v)
 			}
 		}
-		checkRankedAgainstRef(t, "fuzz", g, nil)
-		checkIndependentAgainstRef(t, "fuzz", model.NewInstance(m, p, s), nil)
+		scr := NewScratch()
+		checkRankedAgainstRef(t, "fuzz", g, scr)
+		checkIndependentAgainstRef(t, "fuzz", model.NewInstance(m, p, s), scr)
 	})
 }

@@ -76,11 +76,9 @@ func SBO(in *model.Instance, delta float64, algC, algM makespan.Algorithm) (*SBO
 // sub-algorithm cost (the dominant cost with LPT, and overwhelmingly so
 // with the PTAS) is paid once per instance instead of once per run.
 // The prepared value is immutable after PrepareSBO and safe for
-// concurrent Run calls.
+// concurrent Run and Value calls.
 type SBOPrepared struct {
 	in       *model.Instance
-	p        []model.Time
-	s        []model.Mem
 	pi1, pi2 model.Assignment
 	c        model.Time
 	m        model.Mem
@@ -91,14 +89,10 @@ func PrepareSBO(in *model.Instance, algC, algM makespan.Algorithm) (*SBOPrepared
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	p := in.P()
-	s := in.S()
-	pi1 := algC.Assign(p, in.M)
-	pi2 := algM.Assign(s, in.M)
+	pi1 := algC.Assign(in.P(), in.M)
+	pi2 := algM.Assign(in.S(), in.M)
 	return &SBOPrepared{
 		in:  in,
-		p:   p,
-		s:   s,
 		pi1: pi1,
 		pi2: pi2,
 		c:   in.Cmax(pi1),
@@ -112,72 +106,79 @@ func (prep *SBOPrepared) C() model.Time { return prep.c }
 // M returns Mmax(π2), the memory of the memory sub-schedule.
 func (prep *SBOPrepared) M() model.Mem { return prep.m }
 
-// Run performs the ∆-dependent merge of Algorithm 1.
+// Run performs the ∆-dependent merge of Algorithm 1 and returns the
+// combined schedule π∆ with its analysis record.
 func (prep *SBOPrepared) Run(delta float64) (*SBOResult, error) {
-	return prep.RunScratch(delta, nil)
-}
-
-// RunScratch is Run with caller-owned scratch buffers for the
-// objective evaluation: the sweep engine's workers hold one Scratch
-// each, so a warm sweep allocates only the result itself. A nil scr
-// borrows from the internal pool.
-func (prep *SBOPrepared) RunScratch(delta float64, scr *Scratch) (*SBOResult, error) {
-	if delta <= 0 {
-		return nil, fmt.Errorf("core: SBO delta = %g, need delta > 0", delta)
-	}
-	// co holds ∆'s exact mantissa/exponent form; every finite float64
-	// is a rational, and non-finite ∆ (NaN passes the sign check) has
-	// no rational form at all.
-	co, err := exact.NewCoeff(delta)
+	co, err := sboCoeff(delta)
 	if err != nil {
-		return nil, fmt.Errorf("core: SBO delta = %g is not finite", delta)
+		return nil, err
 	}
-	in := prep.in
+	n := prep.in.N()
 	res := &SBOResult{
 		Delta:           delta,
-		Assignment:      make(model.Assignment, in.N()),
-		FromMemSchedule: make([]bool, in.N()),
+		Assignment:      make(model.Assignment, n),
+		FromMemSchedule: make([]bool, n),
 		C:               prep.c,
 		M:               prep.m,
 	}
-
-	for i := range in.Tasks {
-		useMem := false
-		if prep.m == 0 {
-			// Perfect memory schedule exists (all s_i = 0); memory
-			// needs no help, keep every task on the time schedule.
-			useMem = false
-		} else {
-			// p_i/C < ∆·s_i/M  ⇔  p_i·M < ∆·s_i·C (C, M > 0),
-			// evaluated on the exact integer kernel so huge instances
-			// (ε-scaled hardness values reach 2^40) never suffer float
-			// rounding — and the per-task big.Rat allocations are gone.
-			useMem = co.MulCmp(prep.p[i], int64(prep.m), int64(prep.s[i]), prep.c) < 0
-		}
-		if useMem {
-			res.Assignment[i] = prep.pi2[i]
-		} else {
-			res.Assignment[i] = prep.pi1[i]
-		}
-		res.FromMemSchedule[i] = useMem
-	}
-	res.Cmax, res.Mmax = evalAssignment(in, res.Assignment, scr)
+	v := prep.merge(co, res.Assignment, res.FromMemSchedule, nil)
+	res.Cmax, res.Mmax = v.Cmax, v.Mmax
 	return res, nil
 }
 
-// evalAssignment computes (Cmax, Mmax) of an assignment in one pass
-// over the tasks, against scratch-backed per-processor accumulators —
-// equivalent to in.Cmax(a) and in.Mmax(a) without their allocations.
-func evalAssignment(in *model.Instance, a model.Assignment, scr *Scratch) (model.Time, model.Mem) {
+// Value is Run's (Cmax, Mmax) without the witness. scr is the caller's
+// scratch (nil borrows from the internal pool); with a warm one, Value
+// allocates nothing. The sweep engine's workers call it, one Scratch
+// each.
+func (prep *SBOPrepared) Value(delta float64, scr *Scratch) (model.Value, error) {
+	co, err := sboCoeff(delta)
+	if err != nil {
+		return model.Value{}, err
+	}
 	scr, pooled := borrowScratch(scr)
 	defer releaseScratch(scr, pooled)
-	loads := scr.loads(in.M)
-	mems := scr.mems(in.M)
-	for i, t := range in.Tasks {
-		loads[a[i]] += t.P
-		mems[a[i]] += t.S
+	a, fromMem := scr.sboOut(prep.in.N())
+	return prep.merge(co, a, fromMem, scr), nil
+}
+
+// sboCoeff validates the SBO parameter and returns ∆'s exact
+// mantissa/exponent form; every finite float64 is a rational, and
+// non-finite ∆ (NaN passes the sign check) has no rational form at all.
+func sboCoeff(delta float64) (exact.Coeff, error) {
+	if delta <= 0 {
+		return exact.Coeff{}, fmt.Errorf("core: SBO delta = %g, need delta > 0", delta)
 	}
-	return maxTimeOf(loads), maxMemOf(mems)
+	co, err := exact.NewCoeff(delta)
+	if err != nil {
+		return exact.Coeff{}, fmt.Errorf("core: SBO delta = %g is not finite", delta)
+	}
+	return co, nil
+}
+
+// merge is the Algorithm 1 loop: it writes π∆ into a and the S1/S2
+// split into fromMem, and returns (Cmax, Mmax) of π∆, accumulated in
+// the same pass against scr's per-processor buffers (nil borrows).
+func (prep *SBOPrepared) merge(co exact.Coeff, a model.Assignment, fromMem []bool, scr *Scratch) model.Value {
+	scr, pooled := borrowScratch(scr)
+	defer releaseScratch(scr, pooled)
+	loads := scr.loads(prep.in.M)
+	mems := scr.mems(prep.in.M)
+	for i, t := range prep.in.Tasks {
+		// p_i/C < ∆·s_i/M  ⇔  p_i·M < ∆·s_i·C (C, M > 0), evaluated on
+		// the exact integer kernel so huge instances (ε-scaled hardness
+		// values reach 2^40) never suffer float rounding. M = 0 means a
+		// perfect memory schedule exists (all s_i = 0): memory needs no
+		// help, so every task stays on the time schedule.
+		useMem := prep.m != 0 && co.MulCmp(t.P, prep.m, t.S, prep.c) < 0
+		j := prep.pi1[i]
+		if useMem {
+			j = prep.pi2[i]
+		}
+		a[i], fromMem[i] = j, useMem
+		loads[j] += t.P
+		mems[j] += t.S
+	}
+	return model.Value{Cmax: maxTimeOf(loads), Mmax: maxMemOf(mems)}
 }
 
 // SBOWithLS runs SBO∆ with Graham list scheduling on both objectives —

@@ -6,13 +6,15 @@ import (
 	"storagesched/internal/model"
 )
 
-// Scratch holds the reusable non-escaping buffers of the solver loops —
-// per-processor loads and memory sizes, the processor order both RLS
-// loops keep sorted by load, and the Algorithm 2 ready-list
-// bookkeeping — so a warm sweep performs O(1) allocations per (item, δ)
-// job instead of O(n). A Scratch is not safe for concurrent use; hold
-// one per worker (the sweep engine does) or pass nil to let the solver
-// borrow one from an internal sync.Pool.
+// Scratch holds the reusable buffers of the solver loops — per-processor
+// loads and memory sizes, the processor order both RLS loops keep
+// sorted by load, the Algorithm 2 ready-list bookkeeping, and the
+// witness a value-only run writes and discards (π, σ and the Lemma 4
+// marks of an RLS run; the assignment and the S1/S2 split of an SBO
+// merge) — so a warm value run (SBOPrepared.Value, RLSPrepared.Value,
+// RLSGraphPrepared.Value) allocates nothing. A Scratch is not safe for
+// concurrent use; hold one per worker (the sweep engine does) or pass
+// nil to let the solver borrow one from an internal sync.Pool.
 type Scratch struct {
 	load   []model.Time
 	mem    []model.Mem
@@ -20,6 +22,12 @@ type Scratch struct {
 	preds  []int
 	ready  []model.Time
 	readyQ []int
+
+	proc    []int
+	start   []model.Time
+	marked  []bool
+	assign  model.Assignment
+	fromMem []bool
 }
 
 // NewScratch returns an empty scratch; its buffers grow on first use
@@ -43,22 +51,25 @@ func releaseScratch(scr *Scratch, pooled bool) {
 	}
 }
 
+// grow returns (*b)[:n], reallocating *b when it is too short. The
+// contents are whatever the last run left.
+func grow[S ~[]T, T any](b *S, n int) S {
+	if cap(*b) < n {
+		*b = make(S, n)
+	}
+	return (*b)[:n]
+}
+
 // loads returns a zeroed Time buffer of length n.
 func (scr *Scratch) loads(n int) []model.Time {
-	if cap(scr.load) < n {
-		scr.load = make([]model.Time, n)
-	}
-	s := scr.load[:n]
+	s := grow(&scr.load, n)
 	clear(s)
 	return s
 }
 
 // mems returns a zeroed Mem buffer of length n.
 func (scr *Scratch) mems(n int) []model.Mem {
-	if cap(scr.mem) < n {
-		scr.mem = make([]model.Mem, n)
-	}
-	s := scr.mem[:n]
+	s := grow(&scr.mem, n)
 	clear(s)
 	return s
 }
@@ -66,10 +77,7 @@ func (scr *Scratch) mems(n int) []model.Mem {
 // procOrder returns the processors 0..m-1 in index order — the
 // (load, index) order of m idle processors.
 func (scr *Scratch) procOrder(m int) []int {
-	if cap(scr.procs) < m {
-		scr.procs = make([]int, m)
-	}
-	s := scr.procs[:m]
+	s := grow(&scr.procs, m)
 	for j := range s {
 		s[j] = j
 	}
@@ -78,11 +86,7 @@ func (scr *Scratch) procOrder(m int) []int {
 
 // predsBuf returns an int buffer of length n initialized from src.
 func (scr *Scratch) predsBuf(src []int) []int {
-	n := len(src)
-	if cap(scr.preds) < n {
-		scr.preds = make([]int, n)
-	}
-	s := scr.preds[:n]
+	s := grow(&scr.preds, len(src))
 	copy(s, src)
 	return s
 }
@@ -90,10 +94,7 @@ func (scr *Scratch) predsBuf(src []int) []int {
 // readyBuf returns a zeroed Time buffer of length n, distinct from
 // loads so Algorithm 2 can hold both at once.
 func (scr *Scratch) readyBuf(n int) []model.Time {
-	if cap(scr.ready) < n {
-		scr.ready = make([]model.Time, n)
-	}
-	s := scr.ready[:n]
+	s := grow(&scr.ready, n)
 	clear(s)
 	return s
 }
@@ -101,10 +102,26 @@ func (scr *Scratch) readyBuf(n int) []model.Time {
 // readyList returns an empty int buffer with room for n tasks, the
 // Algorithm 2 ready list.
 func (scr *Scratch) readyList(n int) []int {
-	if cap(scr.readyQ) < n {
-		scr.readyQ = make([]int, 0, n)
+	return grow(&scr.readyQ, n)[:0]
+}
+
+// rlsOut returns witness buffers for a value-only RLS run over n tasks
+// and m processors, in the state newRLSResult gives a fresh witness:
+// every task unplaced and no processor marked.
+func (scr *Scratch) rlsOut(n, m int) rlsOut {
+	proc := grow(&scr.proc, n)
+	for i := range proc {
+		proc[i] = -1
 	}
-	return scr.readyQ[:0]
+	marked := grow(&scr.marked, m)
+	clear(marked)
+	return rlsOut{proc: proc, start: grow(&scr.start, n), marked: marked}
+}
+
+// sboOut returns witness buffers for a value-only SBO merge over n
+// tasks; the merge writes every entry.
+func (scr *Scratch) sboOut(n int) (model.Assignment, []bool) {
+	return grow(&scr.assign, n), grow(&scr.fromMem, n)
 }
 
 // maxTimeOf returns the maximum of a non-empty Time slice, 0 for empty.

@@ -119,15 +119,13 @@ type BatchConfig struct {
 	// batch consults at admission and writes back at emission: an item
 	// whose key (canonical bytes + config fingerprint) is present skips
 	// job generation entirely and its cached Result streams out in the
-	// usual order. Cached Results reproduce the front artifacts exactly
-	// — Bounds, every Run's provenance, objective value and error, and
-	// the Front — but carry nil per-run witness payloads (Assignment,
-	// SBO, RLS), which are too large to cache profitably; sweep summary
-	// output is byte-identical either way, and BatchResult.CacheHit
-	// tells the cases apart. An entry that does not decode, fails the
-	// entry checks (checkResult) or does not fit the item's job layout
-	// is a miss, counted by cache.Reject — the item is computed and the
-	// entry overwritten. The cache may be shared across batches,
+	// usual order. A cached Result is a computed one — Bounds, every
+	// Run's provenance, objective value and error message, and the
+	// Front — so output is byte-identical either way, and
+	// BatchResult.CacheHit tells the cases apart. An entry that does
+	// not decode, fails the entry checks (checkResult) or does not fit
+	// the item's job layout is a miss, counted by cache.Reject — the
+	// item is computed and the entry overwritten. The cache may be shared across batches,
 	// goroutines and (via its disk tier) shard processes.
 	Cache *cache.Cache
 }
@@ -274,14 +272,7 @@ func (st *batchState) executeJob(j job, scr *core.Scratch) Run {
 		return execute(j, st.prepSBO, st.prepRLS, scr)
 	}
 	run := Run{Algorithm: j.alg, Tie: j.tie, Delta: j.delta}
-	res, err := st.prepGraph.RunScratch(j.delta, j.tie, scr)
-	if err != nil {
-		run.Err = err
-		return run
-	}
-	run.RLS = res
-	run.Value = model.Value{Cmax: res.Cmax, Mmax: res.Mmax}
-	run.Assignment = res.Schedule.Assignment()
+	run.Value, run.Err = st.prepGraph.Value(j.delta, j.tie, scr)
 	return run
 }
 

@@ -5,8 +5,7 @@ package engine
 // canonical bytes plus a fingerprint of the parts of the effective
 // Config that determine the outcome. The batch's admission step
 // consults the cache before job generation: a hit skips the item's
-// jobs entirely and its Result — front artifacts identical to a
-// computed one's, witness payloads elided (see wireResult) — is
+// jobs entirely and its Result — identical to a computed one's — is
 // emitted in the usual stream order; a miss records the key so the
 // completed front is written back at emission.
 
@@ -104,16 +103,11 @@ func itemKey(st *batchState, fp string) cache.Key {
 // wire structs change shape so stale entries decode as misses.
 const wireVersion = 1
 
-// wireResult is the cached form of a Result: the *front artifacts* — the
-// bounds record, each run's provenance (algorithm, tie, δ) and achieved
-// objective value, and the assembled front. The per-run witness payloads
-// (Run.Assignment and the SBO/RLS analysis records) are deliberately not
-// cached: they are an order of magnitude larger than the fronts, are not
-// part of any sweep summary, and decoding them would cost more than many
-// sweeps compute — a front cache that re-reads schedules is slower than
-// no cache. A cached Result therefore carries nil witness fields, and
-// BatchResult.CacheHit flags it; consumers that need the schedules sweep
-// uncached.
+// wireResult is the cached form of a Result: the bounds record, each
+// run's provenance (algorithm, tie, δ), achieved objective value and
+// error message, and the assembled front — every field a Result has, so
+// a decoded entry has a computed Result's shape; a run's error comes
+// back as its message (BatchResult.CacheHit tells the two apart).
 type wireResult struct {
 	V      int              `json:"v"`
 	Bounds bounds.Record    `json:"bounds"`

@@ -43,6 +43,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 
 	"storagesched/internal/bounds"
 	"storagesched/internal/core"
@@ -101,10 +102,19 @@ type Config struct {
 	SkipRLS bool
 }
 
-// Run is one algorithm evaluation at one grid point. Runs appear in
-// Result.Runs in grid-major order (all algorithms at Deltas[0], then
-// Deltas[1], ...) with SBO before the RLS tie-breaks at each δ —
-// independent of which worker executed them.
+// Run is one algorithm evaluation at one grid point: its provenance
+// (algorithm, tie-break, δ) and the achieved (Cmax, Mmax) value, which
+// is all a front is built from. Runs appear in Result.Runs in
+// grid-major order (all algorithms at Deltas[0], then Deltas[1], ...)
+// with SBO before the RLS tie-breaks at each δ — independent of which
+// worker executed them.
+//
+// A Run carries no witness schedule. The schedule is a pure function
+// of the item, the algorithm, the tie-break and δ, so a caller that
+// wants it recomputes it: core.SBO (with the sweep's sub-algorithms),
+// core.RLSIndependent or core.RLS, or the Run method of one
+// core.PrepareSBO, core.PrepareRLSIndependent or core.PrepareRLS value
+// per item.
 type Run struct {
 	Algorithm Algorithm
 	// Tie is the RLS tie-break; meaningful only when Algorithm is
@@ -112,17 +122,9 @@ type Run struct {
 	Tie   core.TieBreak
 	Delta float64
 
-	// Value is the achieved (Cmax, Mmax) point and Assignment its
-	// witness. Unset when Err is non-nil.
-	Value      model.Value
-	Assignment model.Assignment
-
-	// SBO / RLS retain the full per-run analysis record of the
-	// algorithm that ran (exactly one is non-nil on success). On an
-	// instance item the BLevel run at a δ is a copy of the LPT run
-	// there (buildJobs) and shares its Assignment and RLS record.
-	SBO *core.SBOResult
-	RLS *core.RLSResult
+	// Value is the achieved (Cmax, Mmax) point; zero when Err is
+	// non-nil.
+	Value model.Value
 
 	// Err is a per-run failure (for example ErrCapTooSmall from a
 	// constrained variant); the sweep continues past it and the run
@@ -131,12 +133,20 @@ type Run struct {
 }
 
 // Label renders a short provenance tag such as "SBO(δ=1)" or
-// "RLS(δ=3,SPT)".
+// "RLS(δ=3,SPT)", with δ printed as by %.4g.
 func (r Run) Label() string {
+	b := make([]byte, 0, 24)
 	if r.Algorithm == AlgRLS {
-		return fmt.Sprintf("RLS(δ=%.4g,%s)", r.Delta, r.Tie)
+		b = append(b, "RLS(δ="...)
+	} else {
+		b = append(b, "SBO(δ="...)
 	}
-	return fmt.Sprintf("SBO(δ=%.4g)", r.Delta)
+	b = strconv.AppendFloat(b, r.Delta, 'g', 4, 64)
+	if r.Algorithm == AlgRLS {
+		b = append(b, ',')
+		b = append(b, r.Tie.String()...)
+	}
+	return string(append(b, ')'))
 }
 
 // FrontPoint is one point of the assembled approximate Pareto front
@@ -287,7 +297,7 @@ func sweepOne(ctx context.Context, items iter.Seq[BatchItem], cfg Config) (*Resu
 // bottom level is its p, so RLS(δ, BLevel) is the same run as
 // RLS(δ, LPT): core.PrepareRLSIndependent hands both tie-breaks one
 // order. When both are selected, the BLevel slot gets no job of its
-// own; the LPT job copies its Run there, witness included.
+// own; the LPT job copies its Run there.
 func buildJobs(cfg Config, graph bool) ([]job, int, error) {
 	if len(cfg.Deltas) == 0 {
 		return nil, 0, fmt.Errorf("engine: empty delta grid")
@@ -371,28 +381,14 @@ func hasRLS(jobs []job) bool {
 
 // execute runs one job against the memoized per-instance state. scr is
 // the calling worker's scratch (nil falls back to the solvers' pool);
-// passing it through keeps a warm sweep at O(1) allocations per job.
+// passing it through keeps a warm job free of allocations.
 func execute(j job, prepSBO *core.SBOPrepared, prepRLS *core.RLSPrepared, scr *core.Scratch) Run {
 	run := Run{Algorithm: j.alg, Tie: j.tie, Delta: j.delta}
 	switch j.alg {
 	case AlgSBO:
-		res, err := prepSBO.RunScratch(j.delta, scr)
-		if err != nil {
-			run.Err = err
-			return run
-		}
-		run.SBO = res
-		run.Value = model.Value{Cmax: res.Cmax, Mmax: res.Mmax}
-		run.Assignment = res.Assignment
+		run.Value, run.Err = prepSBO.Value(j.delta, scr)
 	case AlgRLS:
-		res, err := prepRLS.RunScratch(j.delta, j.tie, scr)
-		if err != nil {
-			run.Err = err
-			return run
-		}
-		run.RLS = res
-		run.Value = model.Value{Cmax: res.Cmax, Mmax: res.Mmax}
-		run.Assignment = res.Schedule.Assignment()
+		run.Value, run.Err = prepRLS.Value(j.delta, j.tie, scr)
 	default:
 		run.Err = fmt.Errorf("engine: unknown algorithm %d", int(j.alg))
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"storagesched/internal/bounds"
-	"storagesched/internal/core"
 	"storagesched/internal/dag"
 	"storagesched/internal/gen"
 	"storagesched/internal/model"
@@ -44,7 +43,7 @@ func itemsSeq(items []BatchItem) func(yield func(BatchItem) bool) {
 // acceptance test: a mixed stream of graphs and instances must yield
 // byte-identical per-item runs and fronts at 1, 4 and NumCPU workers,
 // and every graph run must agree with a standalone core.RLS call at
-// the same δ and tie-break.
+// the same δ and tie-break, whose witness is valid.
 func TestSweepBatchMixedDeterministicAcrossWorkerCounts(t *testing.T) {
 	items := mixedItems()
 	var base []BatchResult
@@ -82,7 +81,7 @@ func TestSweepBatchMixedDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 
-	// Graph runs must match direct core.RLS calls bit for bit, and
+	// Graph runs must have the values of direct core.RLS calls, and
 	// instance items must be unaffected by the graphs sharing the pool.
 	for i, br := range base {
 		if items[i].Graph != nil {
@@ -101,24 +100,9 @@ func TestSweepBatchMixedDeterministicAcrossWorkerCounts(t *testing.T) {
 				if r.Err != nil {
 					t.Fatalf("item %d %s: %v", i, r.Label(), r.Err)
 				}
-				direct, err := core.RLS(g, r.Delta, r.Tie)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.Value.Cmax != direct.Cmax || r.Value.Mmax != direct.Mmax {
-					t.Errorf("item %d %s: engine %v, direct RLS (%d,%d)",
-						i, r.Label(), r.Value, direct.Cmax, direct.Mmax)
-				}
-				if !reflect.DeepEqual(r.Assignment, direct.Schedule.Assignment()) {
-					t.Errorf("item %d %s: assignment differs from direct RLS", i, r.Label())
-				}
-				if r.RLS.LB != direct.LB || r.RLS.Cap != direct.Cap {
-					t.Errorf("item %d %s: LB/Cap (%d,%d), direct (%d,%d)",
-						i, r.Label(), r.RLS.LB, r.RLS.Cap, direct.LB, direct.Cap)
-				}
-				if err := r.RLS.Schedule.Validate(g.PredLists()); err != nil {
-					t.Errorf("item %d %s: schedule violates precedence: %v", i, r.Label(), err)
-				}
+			}
+			if checkWitnesses(t, items[i], Config{Deltas: graphGrid()}, br.Result) != len(br.Result.Runs) {
+				t.Errorf("item %d: not every graph run checked", i)
 			}
 		} else {
 			solo, err := Sweep(context.Background(), items[i].Instance,
@@ -138,7 +122,8 @@ func TestSweepBatchMixedDeterministicAcrossWorkerCounts(t *testing.T) {
 // non-dominated hull of the RLS runs, sorted by Cmax.
 func TestSweepGraphMatchesBatch(t *testing.T) {
 	g := gen.LayeredDAG(6, 12, 4, 7)
-	res, err := SweepGraph(context.Background(), g, Config{Deltas: graphGrid()})
+	cfg := Config{Deltas: graphGrid()}
+	res, err := SweepGraph(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +147,7 @@ func TestSweepGraphMatchesBatch(t *testing.T) {
 		}
 	}
 	// Corollary 2: every run respects Mmax ≤ ⌊δ·LB⌋.
-	for _, r := range res.Runs {
-		if r.RLS.Mmax > r.RLS.Cap {
-			t.Errorf("%s: Mmax %d exceeds cap %d", r.Label(), r.RLS.Mmax, r.RLS.Cap)
-		}
-	}
+	checkWitnesses(t, BatchItem{Graph: g}, cfg, res)
 }
 
 // TestSweepGraphConfigValidation covers the graph-specific config

@@ -124,15 +124,20 @@ func runAbl2(w io.Writer) error {
 			if run.Err != nil {
 				return run.Err
 			}
-			res := run.SBO
+			v := run.Value
 			rec := br.Result.Bounds
-			accC[br.Index/len(seeds)].Add(float64(res.Cmax) / float64(rec.CmaxLB))
-			accM[br.Index/len(seeds)].Add(float64(res.Mmax) / float64(rec.MmaxLB))
-			// Property check relative to the sub-schedules.
-			if float64(res.Cmax) > (1+delta)*float64(res.C)+1e-9 {
+			accC[br.Index/len(seeds)].Add(float64(v.Cmax) / float64(rec.CmaxLB))
+			accM[br.Index/len(seeds)].Add(float64(v.Mmax) / float64(rec.MmaxLB))
+			// Property check relative to the sub-schedules, whose
+			// C and M the run does not carry.
+			prep, err := core.PrepareSBO(items[br.Index].Instance, pr.alg, pr.alg)
+			if err != nil {
+				return err
+			}
+			if float64(v.Cmax) > (1+delta)*float64(prep.C())+1e-9 {
 				return fmt.Errorf("pair %s broke Property 1", pr.name)
 			}
-			if res.M > 0 && float64(res.Mmax) > (1+1/delta)*float64(res.M)+1e-9 {
+			if prep.M() > 0 && float64(v.Mmax) > (1+1/delta)*float64(prep.M())+1e-9 {
 				return fmt.Errorf("pair %s broke Property 2", pr.name)
 			}
 			return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"storagesched/internal/core"
 	"storagesched/internal/dag"
@@ -53,7 +54,14 @@ func runDAGSweep(w io.Writer) error {
 	fmt.Fprintf(w, "%-12s %6s %6s  %6s  %10s %10s  %9s %7s\n",
 		"item", "nodes", "edges", "runs", "front", "Cmax/LB*", "Mmax<=cap", "marked")
 
-	violated := false
+	// Runs carry values only, so each graph's witnesses are recomputed
+	// for the Lemma 4 and feasibility checks. That work runs in one
+	// goroutine per graph as its front streams in, alongside the
+	// batch; the table is printed in item order once all are done.
+	rows := make([]string, len(items))
+	violations := make([]bool, len(items))
+	errs := make([]error, len(items))
+	var wg sync.WaitGroup
 	err := engine.SweepBatch(context.Background(),
 		func(yield func(engine.BatchItem) bool) {
 			for _, it := range items {
@@ -90,72 +98,89 @@ func runDAGSweep(w io.Writer) error {
 				if sbo == 0 {
 					return fmt.Errorf("%s: no SBO runs in the mixed batch", info.label)
 				}
-				fmt.Fprintf(w, "%-12s %6d %6s  %6d  %10d %10s  %9s %7s\n",
+				rows[br.Index] = fmt.Sprintf("%-12s %6d %6s  %6d  %10d %10s  %9s %7s\n",
 					info.label, n, "-", len(res.Runs), len(res.Front), "-", "-", "-")
 				return nil
 			}
-
-			g := info.g
-			worstC := 0.0
-			okMem := true
-			maxMarked := 0
-			for _, r := range res.Runs {
-				if r.Err != nil {
-					return fmt.Errorf("%s %s: %w", info.label, r.Label(), r.Err)
-				}
-				// Corollary 2: the achieved memory respects ⌊δ·LB⌋.
-				if r.RLS.Mmax > r.RLS.Cap {
-					okMem = false
-				}
-				// Lemma 4: marked processors never exceed ⌊m/(δ−1)⌋.
-				if mc := r.RLS.MarkedCount(); mc > int(float64(m)/(r.Delta-1)) {
-					return fmt.Errorf("%s %s: %d marked processors exceed floor(m/(d-1))", info.label, r.Label(), r.RLS.MarkedCount())
-				} else if mc > maxMarked {
-					maxMarked = mc
-				}
-				// Lemma 5 for δ > 2 against the critical-path-aware LB.
-				ratio := float64(r.Value.Cmax) / float64(res.Bounds.CmaxLB)
-				if ratio > worstC {
-					worstC = ratio
-				}
-				if bound := core.RLSCmaxRatio(r.Delta, m); r.Delta > 2 && ratio > bound+1e-9 {
-					return fmt.Errorf("%s %s: Cmax ratio %.4f exceeds Lemma 5 bound %.4f", info.label, r.Label(), ratio, bound)
-				}
-				if err := r.RLS.Schedule.Validate(g.PredLists()); err != nil {
-					return fmt.Errorf("%s %s: schedule violates precedence: %w", info.label, r.Label(), err)
-				}
-			}
-
-			// The engine's memoized path must agree with a standalone
-			// core.RLS run at the same grid point (spot-check the first
-			// and last runs to keep the experiment fast).
-			for _, idx := range []int{0, len(res.Runs) - 1} {
-				r := res.Runs[idx]
-				direct, err := core.RLS(g, r.Delta, r.Tie)
-				if err != nil {
-					return err
-				}
-				if r.Value != (model.Value{Cmax: direct.Cmax, Mmax: direct.Mmax}) {
-					return fmt.Errorf("%s %s: engine %v, direct RLS (%d,%d)",
-						info.label, r.Label(), r.Value, direct.Cmax, direct.Mmax)
-				}
-			}
-
-			status := ""
-			if !okMem {
-				status = "  VIOLATED"
-				violated = true
-			}
-			fmt.Fprintf(w, "%-12s %6d %6d  %6d  %10d %10.4f  %9v %7d%s\n",
-				info.label, g.N(), g.NumEdges(), len(res.Runs), len(res.Front), worstC, okMem, maxMarked, status)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rows[br.Index], violations[br.Index], errs[br.Index] = checkGraphSweep(info.label, info.g, res)
+			}()
 			return nil
 		})
+	wg.Wait()
 	if err != nil {
 		return err
+	}
+	violated := false
+	for i, row := range rows {
+		if errs[i] != nil {
+			return errs[i]
+		}
+		violated = violated || violations[i]
+		fmt.Fprint(w, row)
 	}
 	if violated {
 		return fmt.Errorf("a Corollary 2 memory cap was exceeded")
 	}
 	fmt.Fprintf(w, "\nshape: larger d buys makespan (toward the Lemma 5 floor) at the cost of d*LB memory, per family\n")
 	return nil
+}
+
+// checkGraphSweep checks the paper's claims on every run of one graph
+// item's sweep — Corollary 2, Lemma 4, Lemma 5 and feasibility — by
+// recomputing each run's witness against one prepared graph, and
+// renders the item's table row. violated reports a Corollary 2 memory
+// cap exceeded; err, any other failed claim.
+func checkGraphSweep(label string, g *dag.Graph, res *engine.Result) (row string, violated bool, err error) {
+	prep, err := core.PrepareRLS(g)
+	if err != nil {
+		return "", false, err
+	}
+	preds := g.PredLists()
+	worstC := 0.0
+	okMem := true
+	maxMarked := 0
+	for _, r := range res.Runs {
+		if r.Err != nil {
+			return "", false, fmt.Errorf("%s %s: %w", label, r.Label(), r.Err)
+		}
+		wit, err := prep.Run(r.Delta, r.Tie)
+		if err != nil {
+			return "", false, err
+		}
+		if r.Value != (model.Value{Cmax: wit.Cmax, Mmax: wit.Mmax}) {
+			return "", false, fmt.Errorf("%s %s: engine %v, recomputed RLS (%d,%d)",
+				label, r.Label(), r.Value, wit.Cmax, wit.Mmax)
+		}
+		// Corollary 2: the achieved memory respects ⌊δ·LB⌋.
+		if wit.Mmax > wit.Cap {
+			okMem = false
+		}
+		// Lemma 4: marked processors never exceed ⌊m/(δ−1)⌋.
+		if mc := wit.MarkedCount(); mc > int(float64(g.M)/(r.Delta-1)) {
+			return "", false, fmt.Errorf("%s %s: %d marked processors exceed floor(m/(d-1))", label, r.Label(), mc)
+		} else if mc > maxMarked {
+			maxMarked = mc
+		}
+		// Lemma 5 for δ > 2 against the critical-path-aware LB.
+		ratio := float64(r.Value.Cmax) / float64(res.Bounds.CmaxLB)
+		if ratio > worstC {
+			worstC = ratio
+		}
+		if bound := core.RLSCmaxRatio(r.Delta, g.M); r.Delta > 2 && ratio > bound+1e-9 {
+			return "", false, fmt.Errorf("%s %s: Cmax ratio %.4f exceeds Lemma 5 bound %.4f", label, r.Label(), ratio, bound)
+		}
+		if err := wit.Schedule.Validate(preds); err != nil {
+			return "", false, fmt.Errorf("%s %s: schedule violates precedence: %w", label, r.Label(), err)
+		}
+	}
+	status := ""
+	if !okMem {
+		status = "  VIOLATED"
+	}
+	row = fmt.Sprintf("%-12s %6d %6d  %6d  %10d %10.4f  %9v %7d%s\n",
+		label, g.N(), g.NumEdges(), len(res.Runs), len(res.Front), worstC, okMem, maxMarked, status)
+	return row, !okMem, nil
 }

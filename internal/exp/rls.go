@@ -173,9 +173,15 @@ func runCor4(w io.Writer) error {
 						return fmt.Errorf("COR4: run %d has delta %g, want %g (all grid deltas must be >= 2)",
 							i, run.Delta, deltas[i])
 					}
-					accC[i].Add(float64(run.RLS.Cmax) / float64(rec.CmaxLB))
-					accM[i].Add(float64(run.RLS.Mmax) / float64(rec.MmaxLB))
-					accS[i].Add(float64(run.RLS.SumCi) / float64(rec.SumCiLB))
+					// Runs carry (Cmax, Mmax) only; ΣCi comes from
+					// the run's witness, recomputed.
+					res, err := core.RLSIndependent(ins[br.Index], run.Delta, run.Tie)
+					if err != nil {
+						return err
+					}
+					accC[i].Add(float64(run.Value.Cmax) / float64(rec.CmaxLB))
+					accM[i].Add(float64(run.Value.Mmax) / float64(rec.MmaxLB))
+					accS[i].Add(float64(res.SumCi) / float64(rec.SumCiLB))
 				}
 				return nil
 			})

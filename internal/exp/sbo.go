@@ -75,6 +75,13 @@ func runProp12(w io.Writer) error {
 				if br.Err != nil {
 					return br.Err
 				}
+				// The runs carry values only; C = Cmax(π1) and
+				// M = Mmax(π2) come from the same sub-schedules the
+				// engine prepared.
+				prep, err := core.PrepareSBO(ins[br.Index], makespan.LPT{}, makespan.LPT{})
+				if err != nil {
+					return err
+				}
 				for i, run := range br.Result.Runs {
 					if run.Err != nil {
 						return run.Err
@@ -82,9 +89,9 @@ func runProp12(w io.Writer) error {
 					if run.Delta != deltas[i] {
 						return fmt.Errorf("PROP12: run %d has delta %g, want %g", i, run.Delta, deltas[i])
 					}
-					accC[i].Add(float64(run.SBO.Cmax) / float64(run.SBO.C))
-					if run.SBO.M > 0 {
-						accM[i].Add(float64(run.SBO.Mmax) / float64(run.SBO.M))
+					accC[i].Add(float64(run.Value.Cmax) / float64(prep.C()))
+					if prep.M() > 0 {
+						accM[i].Add(float64(run.Value.Mmax) / float64(prep.M()))
 					}
 				}
 				return nil

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -114,7 +116,9 @@ func (sc *Schedule) Validate(prec [][]int) error {
 	if len(sc.Start) != n || len(sc.P) != n || len(sc.S) != n {
 		return fmt.Errorf("model: inconsistent schedule slice lengths")
 	}
-	byProc := make([][]int, sc.M)
+	// A counting sort by processor: next[q] starts as the first slot of
+	// q's tasks in order and ends as the first slot past them.
+	next := make([]int, sc.M+1)
 	for i, q := range sc.Proc {
 		if q < 0 || q >= sc.M {
 			return fmt.Errorf("model: task %d on processor %d, want [0,%d)", i, q, sc.M)
@@ -125,10 +129,23 @@ func (sc *Schedule) Validate(prec [][]int) error {
 		if sc.P[i] <= 0 {
 			return fmt.Errorf("model: task %d has p = %d, need p > 0", i, sc.P[i])
 		}
-		byProc[q] = append(byProc[q], i)
+		next[q+1]++
 	}
-	for q, ts := range byProc {
-		sort.Slice(ts, func(a, b int) bool { return sc.Start[ts[a]] < sc.Start[ts[b]] })
+	for q := range sc.M {
+		next[q+1] += next[q]
+	}
+	order := make([]int, n)
+	for i, q := range sc.Proc {
+		order[next[q]] = i
+		next[q]++
+	}
+	// Consecutive tasks of one processor in start order must not
+	// overlap.
+	lo := 0
+	for q, hi := range next[:sc.M] {
+		ts := order[lo:hi]
+		lo = hi
+		slices.SortFunc(ts, func(a, b int) int { return cmp.Compare(sc.Start[a], sc.Start[b]) })
 		for k := 1; k < len(ts); k++ {
 			prev, cur := ts[k-1], ts[k]
 			if sc.Completion(prev) > sc.Start[cur] {

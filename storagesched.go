@@ -323,7 +323,9 @@ type (
 	// SweepResult carries the per-run outcomes (deterministic grid
 	// order), the assembled front and the memoized lower bounds.
 	SweepResult = engine.Result
-	// SweepRun is one (algorithm, δ) evaluation inside a sweep.
+	// SweepRun is one (algorithm, δ) evaluation inside a sweep: its
+	// provenance and (Cmax, Mmax) value. It carries no schedule; SBO,
+	// RLSIndependent, RLS or a prepared Run recomputes one.
 	SweepRun = engine.Run
 	// SweepFrontPoint is one approximate-front point with the index
 	// of its witness run.
@@ -483,10 +485,9 @@ type (
 func NewDirStore(dir string) (*DirStore, error) { return cache.NewDirStore(dir) }
 
 // NewSweepCache builds a front cache; wire it into a batch via
-// BatchConfig.Cache. Results served from it reproduce the front
-// artifacts (bounds, run provenance and values, the front) exactly and
-// are flagged BatchResult.CacheHit; the per-run witness schedules are
-// not retained — consumers that need them sweep uncached.
+// BatchConfig.Cache. Results served from it equal computed ones
+// (bounds, run provenance and values, the front) and are flagged
+// BatchResult.CacheHit.
 func NewSweepCache(cfg CacheConfig) (*SweepCache, error) { return cache.New(cfg) }
 
 // Shard coordination (see internal/shard): deterministic splitting of

@@ -9,6 +9,34 @@ import (
 	"testing"
 )
 
+// sweepWitness recomputes the assignment of a default-config sweep run
+// on an instance — runs carry values only — and requires it to be
+// valid and to achieve the run's value.
+func sweepWitness(t *testing.T, in *Instance, run SweepRun) Assignment {
+	t.Helper()
+	var a Assignment
+	if run.Algorithm == SweepSBO {
+		res, err := SBOWithLPT(in, run.Delta)
+		if err != nil {
+			t.Fatalf("%s: %v", run.Label(), err)
+		}
+		a = res.Assignment
+	} else {
+		res, err := RLSIndependent(in, run.Delta, run.Tie)
+		if err != nil {
+			t.Fatalf("%s: %v", run.Label(), err)
+		}
+		a = res.Schedule.Assignment()
+	}
+	if err := in.ValidateAssignment(a); err != nil {
+		t.Fatalf("witness of %s invalid: %v", run.Label(), err)
+	}
+	if got := in.Eval(a); got != run.Value {
+		t.Fatalf("witness of %s evaluates to %v, run value %v", run.Label(), got, run.Value)
+	}
+	return a
+}
+
 // The facade is exercised end to end the way README's quickstart does.
 func TestFacadeQuickstart(t *testing.T) {
 	in := NewInstance(4,
@@ -49,10 +77,7 @@ func TestFacadeSweep(t *testing.T) {
 				t.Fatalf("front not non-dominated at %d: %v after %v",
 					i, p.Value, res.Front[i-1].Value)
 			}
-			run := res.Runs[p.RunIndex]
-			if err := in.ValidateAssignment(run.Assignment); err != nil {
-				t.Fatalf("front witness %s invalid: %v", run.Label(), err)
-			}
+			sweepWitness(t, in, res.Runs[p.RunIndex])
 		}
 		if first == nil {
 			first = res
@@ -254,6 +279,10 @@ func TestFacadeSweepGraph(t *testing.T) {
 	if len(res.Front) == 0 {
 		t.Fatal("empty graph front")
 	}
+	prep, err := PrepareRLS(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range res.Runs {
 		if r.Algorithm != SweepRLS {
 			t.Fatalf("graph sweep ran %s", r.Label())
@@ -261,7 +290,14 @@ func TestFacadeSweepGraph(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Label(), r.Err)
 		}
-		if err := r.RLS.Schedule.Validate(decoded.PredLists()); err != nil {
+		w, err := prep.Run(r.Delta, r.Tie)
+		if err != nil {
+			t.Fatalf("%s: %v", r.Label(), err)
+		}
+		if (Value{Cmax: w.Cmax, Mmax: w.Mmax}) != r.Value {
+			t.Fatalf("%s: witness (%d,%d), run value %v", r.Label(), w.Cmax, w.Mmax, r.Value)
+		}
+		if err := w.Schedule.Validate(decoded.PredLists()); err != nil {
 			t.Fatalf("%s: schedule violates precedence: %v", r.Label(), err)
 		}
 	}

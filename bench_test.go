@@ -559,21 +559,42 @@ func BenchmarkSweepSequential_n50(b *testing.B) {
 }
 
 // BenchmarkPrepareInstance_n120 is the engine's per-item preparation
-// of a perfbench-shaped instance (n = 120, m = 8): the SBO
-// sub-schedules, the four RLS tie-break orders and the lower-bound
+// of a perfbench-shaped instance (n = 120, m = 8), through the calls
+// the engine makes: one core.PrepareInstance, whose sort of p feeds the
+// SBO sub-schedules, the four RLS tie-break orders and the lower-bound
 // record that every cold instance item pays once before its runs.
 func BenchmarkPrepareInstance_n120(b *testing.B) {
 	in := gen.Uniform(120, 8, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.PrepareSBO(in, makespan.LPT{}, makespan.LPT{}); err != nil {
+		ip, err := core.PrepareInstance(in)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.PrepareRLSIndependent(in, engine.DefaultTies...); err != nil {
+		_ = ip.SBO(makespan.LPT{}, makespan.LPT{})
+		if _, err := ip.RLS(engine.DefaultTies...); err != nil {
 			b.Fatal(err)
 		}
-		_ = bounds.ForInstance(in)
+		_ = ip.Bounds()
+	}
+}
+
+// BenchmarkPrepareGraph_n100 is the engine's per-item preparation of a
+// perfbench-shaped DAG (100 nodes, m = 8): the topological state and
+// the four tie ranks of core.PrepareRLS, and the bounds.ForGraph
+// record.
+func BenchmarkPrepareGraph_n100(b *testing.B) {
+	g := gen.LayeredDAG(8, 25, 4, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.PrepareRLS(g, engine.DefaultTies...); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := bounds.ForGraph(g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

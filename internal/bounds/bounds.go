@@ -13,9 +13,8 @@
 package bounds
 
 import (
-	"slices"
-
 	"storagesched/internal/dag"
+	"storagesched/internal/makespan"
 	"storagesched/internal/model"
 )
 
@@ -81,6 +80,15 @@ type Record struct {
 
 // ForInstance computes the record for an independent-task instance.
 func ForInstance(in *model.Instance) Record {
+	p := in.P()
+	return ForOrder(in, p, makespan.DescendingOrder(p))
+}
+
+// ForOrder is ForInstance for a caller that already holds the
+// instance's p vector and its descending order byP
+// (makespan.DescendingOrder(p)): the ΣCi bound walks byP in reverse
+// instead of sorting p again.
+func ForOrder(in *model.Instance, p []model.Time, byP []int) Record {
 	r := Record{M: in.M}
 	r.MaxP = in.MaxP()
 	r.WorkOverM = ceilDiv(in.TotalWork(), int64(in.M))
@@ -89,7 +97,7 @@ func ForInstance(in *model.Instance) Record {
 	r.MaxS = in.MaxS()
 	r.MemOverM = ceilDiv(in.TotalMem(), int64(in.M))
 	r.MmaxLB = maxM(r.MaxS, r.MemOverM)
-	r.SumCiLB = sumCiSorting(in.P(), in.M) // in.P() is a fresh copy
+	r.SumCiLB = sumCiDescending(p, byP, in.M)
 	return r
 }
 
@@ -123,18 +131,18 @@ func ForGraph(g *dag.Graph) (Record, error) {
 // recalled in Section 5.2), so this is the exact optimum on independent
 // tasks and a lower bound with precedence constraints.
 func SumCiSPT(p []model.Time, m int) model.Time {
-	return sumCiSorting(slices.Clone(p), m)
+	return sumCiDescending(p, makespan.DescendingOrder(p), m)
 }
 
-// sumCiSorting is SumCiSPT that sorts p in place, for callers that own
-// p.
-func sumCiSorting(p []model.Time, m int) model.Time {
-	slices.Sort(p)
+// sumCiDescending is SumCiSPT over byP, p's descending order, walked
+// in reverse. The value depends only on the ascending sequence of
+// sizes, not on how equal sizes are ordered.
+func sumCiDescending(p []model.Time, byP []int, m int) model.Time {
 	loads := make([]model.Time, m)
 	var total model.Time
-	for _, x := range p {
+	for k := len(byP) - 1; k >= 0; k-- {
 		q := argminT(loads)
-		loads[q] += x
+		loads[q] += p[byP[k]]
 		total += loads[q]
 	}
 	return total

@@ -60,19 +60,7 @@ func ConstrainedDAG(g *dag.Graph, capM model.Mem, tie TieBreak) (*RLSResult, err
 // Graham lower bound and ErrNotCertified in the [LB, 2·LB) band where
 // the greedy may legitimately fail, exactly like ConstrainedDAG.
 func (prep *RLSGraphPrepared) Constrained(capM model.Mem, tie TieBreak) (*RLSResult, error) {
-	lb := prep.lb
-	if capM < lb {
-		return nil, fmt.Errorf("%w (LB=%d, budget=%d)", ErrInfeasible, lb, capM)
-	}
-	res, err := prep.RunWithCap(capM, tie)
-	if err != nil {
-		var tooSmall ErrCapTooSmall
-		if errors.As(err, &tooSmall) {
-			return nil, fmt.Errorf("%w (LB=%d, budget=%d)", ErrNotCertified, lb, capM)
-		}
-		return nil, err
-	}
-	return res, nil
+	return constrainedRLS(prep.lb, capM, tie, prep.RunWithCap)
 }
 
 // Constrained is the independent-task mirror of the DAG solver: it
@@ -82,11 +70,17 @@ func (prep *RLSGraphPrepared) Constrained(capM model.Mem, tie TieBreak) (*RLSRes
 // budget — the validation and tie-break orders are shared across the
 // whole band.
 func (prep *RLSPrepared) Constrained(capM model.Mem, tie TieBreak) (*RLSResult, error) {
-	lb := prep.lb
+	return constrainedRLS(prep.lb, capM, tie, prep.RunWithCap)
+}
+
+// constrainedRLS is the body of both RLS Constrained methods: lb is the
+// prepared Graham memory lower bound and runWithCap the prepared
+// RunWithCap.
+func constrainedRLS(lb, capM model.Mem, tie TieBreak, runWithCap func(model.Mem, TieBreak) (*RLSResult, error)) (*RLSResult, error) {
 	if capM < lb {
 		return nil, fmt.Errorf("%w (LB=%d, budget=%d)", ErrInfeasible, lb, capM)
 	}
-	res, err := prep.RunWithCap(capM, tie)
+	res, err := runWithCap(capM, tie)
 	if err != nil {
 		var tooSmall ErrCapTooSmall
 		if errors.As(err, &tooSmall) {
@@ -172,21 +166,34 @@ func (prep *SBOPrepared) Constrained(capM model.Mem, steps int) (*ConstrainedSBO
 		deltas = append(deltas, guaranteed)
 	}
 
+	// Each candidate is evaluated for its value only; the first ∆ to
+	// reach the least feasible Cmax wins, and only its witness is
+	// built.
 	res := &ConstrainedSBOResult{GuaranteedDelta: guaranteed}
+	scr, pooled := borrowScratch(nil)
+	defer releaseScratch(scr, pooled)
+	bestDelta, found := 0.0, false
+	var bestCmax model.Time
 	for _, d := range deltas {
-		r, err := prep.Run(d)
+		v, err := prep.Value(d, scr)
 		if err != nil {
 			return nil, err
 		}
 		res.Tried++
-		if r.Mmax > capM {
+		if v.Mmax > capM {
 			continue
 		}
-		if res.SBOResult == nil || r.Cmax < res.SBOResult.Cmax {
-			res.SBOResult = r
+		if !found || v.Cmax < bestCmax {
+			bestDelta, bestCmax, found = d, v.Cmax, true
 		}
 	}
-	if res.SBOResult == nil {
+	if found {
+		r, err := prep.Run(bestDelta)
+		if err != nil {
+			return nil, err
+		}
+		res.SBOResult = r
+	} else {
 		// π2 itself is feasible (checked above), so the all-π2
 		// fallback always lands here at worst: force it. The prepared
 		// π2 is shared state, so the result gets its own copy.
@@ -231,17 +238,18 @@ type ConstrainedPrepared struct {
 }
 
 // PrepareConstrainedIndependent validates the instance and runs the
-// budget-independent halves of both Section 7 routes.
+// budget-independent halves of both Section 7 routes over one
+// PrepareInstance.
 func PrepareConstrainedIndependent(in *model.Instance) (*ConstrainedPrepared, error) {
-	sbo, err := PrepareSBO(in, makespan.LPT{}, makespan.LPT{})
+	ip, err := PrepareInstance(in)
 	if err != nil {
 		return nil, err
 	}
-	rls, err := PrepareRLSIndependent(in, TieSPT)
+	rls, err := ip.RLS(TieSPT)
 	if err != nil {
 		return nil, err
 	}
-	return &ConstrainedPrepared{sbo: sbo, rls: rls, lb: rls.lb}, nil
+	return &ConstrainedPrepared{sbo: ip.SBO(makespan.LPT{}, makespan.LPT{}), rls: rls, lb: rls.lb}, nil
 }
 
 // LB returns the memoized Graham memory lower bound.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -9,6 +8,7 @@ import (
 	"storagesched/internal/bounds"
 	"storagesched/internal/dag"
 	"storagesched/internal/exact"
+	"storagesched/internal/makespan"
 	"storagesched/internal/model"
 )
 
@@ -211,12 +211,12 @@ func tieOrder(g *dag.Graph, tie TieBreak) ([]int, error) {
 	return o.order(tie)
 }
 
-// orderer computes tie-break orders with one typed sort per key. The
-// LPT order (decreasing p, index ties) is sorted once and memoized:
-// TieSPT is derived from it, and on independent tasks — where a
-// task's bottom level is its p — TieBottomLevel is the LPT slice
-// itself. Every order is the stable sort of the identity by its key,
-// which is what a (key, index) comparator reproduces.
+// orderer computes tie-break orders with one sort per key
+// (makespan.DescendingOrder). The LPT order (decreasing p, index ties)
+// is sorted once and memoized, or handed in by InstancePrep: TieSPT is
+// derived from it, and on independent tasks — where a task's bottom
+// level is its p — TieBottomLevel is the LPT slice itself. Every order
+// is the stable sort of the identity by its key.
 type orderer struct {
 	p []model.Time
 	// bottom holds the bottom levels of a task DAG; nil on
@@ -241,7 +241,7 @@ func (o *orderer) order(tie TieBreak) ([]int, error) {
 		if o.bottom == nil {
 			return o.byP(), nil
 		}
-		return descendingBy(o.bottom), nil
+		return makespan.DescendingOrder(o.bottom), nil
 	}
 	return nil, fmt.Errorf("core: unknown tie break %d", int(tie))
 }
@@ -249,29 +249,14 @@ func (o *orderer) order(tie TieBreak) ([]int, error) {
 // byP returns the memoized LPT order.
 func (o *orderer) byP() []int {
 	if o.lpt == nil {
-		o.lpt = descendingBy(o.p)
+		o.lpt = makespan.DescendingOrder(o.p)
 	}
 	return o.lpt
 }
 
-// descendingBy returns the task indices sorted by decreasing key,
-// lowest index first among equal keys.
-func descendingBy(key []model.Time) []int {
-	order := make([]int, len(key))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(key[b], key[a]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return order
-}
-
-// ascendingRuns turns a descendingBy(key) order into the ascending
-// one: the runs of equal key in reverse, each kept in index order.
+// ascendingRuns turns a makespan.DescendingOrder(key) order into the
+// ascending one: the runs of equal key in reverse, each kept in index
+// order.
 func ascendingRuns(desc []int, key []model.Time) []int {
 	asc := make([]int, 0, len(desc))
 	for end := len(desc); end > 0; {
@@ -637,28 +622,14 @@ type RLSPrepared struct {
 
 // PrepareRLSIndependent validates the instance and precomputes the
 // scheduling orders for the given tie-breaks (all four when none are
-// given). It sorts by p once: a task's bottom level is its p, so
-// TieBottomLevel shares TieLPT's order, and TieSPT is derived from it.
+// given); it is PrepareInstance(in) followed by InstancePrep.RLS, which
+// sorts by p once.
 func PrepareRLSIndependent(in *model.Instance, ties ...TieBreak) (*RLSPrepared, error) {
-	if err := in.Validate(); err != nil {
+	ip, err := PrepareInstance(in)
+	if err != nil {
 		return nil, err
 	}
-	if len(ties) == 0 {
-		ties = []TieBreak{TieByID, TieSPT, TieLPT, TieBottomLevel}
-	}
-	o := orderer{p: in.P()}
-	orders := make(map[TieBreak][]int, len(ties))
-	for _, tie := range ties {
-		if _, ok := orders[tie]; ok {
-			continue
-		}
-		order, err := o.order(tie)
-		if err != nil {
-			return nil, err
-		}
-		orders[tie] = order
-	}
-	return &RLSPrepared{in: in, lb: instanceMemLB(in), orders: orders}, nil
+	return ip.RLS(ties...)
 }
 
 // LB returns the memoized Graham memory lower bound.

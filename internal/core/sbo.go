@@ -84,20 +84,14 @@ type SBOPrepared struct {
 	m        model.Mem
 }
 
-// PrepareSBO validates the instance and runs the two sub-algorithms.
+// PrepareSBO validates the instance and runs the two sub-algorithms;
+// it is PrepareInstance(in) followed by InstancePrep.SBO.
 func PrepareSBO(in *model.Instance, algC, algM makespan.Algorithm) (*SBOPrepared, error) {
-	if err := in.Validate(); err != nil {
+	ip, err := PrepareInstance(in)
+	if err != nil {
 		return nil, err
 	}
-	pi1 := algC.Assign(in.P(), in.M)
-	pi2 := algM.Assign(in.S(), in.M)
-	return &SBOPrepared{
-		in:  in,
-		pi1: pi1,
-		pi2: pi2,
-		c:   in.Cmax(pi1),
-		m:   in.Mmax(pi2),
-	}, nil
+	return ip.SBO(algC, algM), nil
 }
 
 // C returns Cmax(π1), the makespan of the time sub-schedule.

@@ -223,8 +223,9 @@ func (st *batchState) prepareOnce() bool {
 }
 
 // prepare memoizes the per-item state shared by every run — for
-// instances the SBO sub-schedules π1/π2, the RLS tie-break orders and
-// the lower-bound record; for graphs the topological structure, tie
+// instances one core.PrepareInstance, whose sort of p feeds the SBO
+// sub-schedules π1/π2, the RLS tie-break orders and the lower-bound
+// record; for graphs the topological structure, tie
 // ranks and the bounds.ForGraph record. It runs exactly once per item,
 // inside the worker pool, so preparation of one item overlaps
 // evaluation of another.
@@ -240,6 +241,11 @@ func (st *batchState) prepare() {
 		st.bounds, st.err = bounds.ForGraph(st.g)
 		return
 	}
+	ip, err := core.PrepareInstance(st.in)
+	if err != nil {
+		st.err = err
+		return
+	}
 	if !st.cfg.SkipSBO {
 		algC, algM := st.cfg.AlgC, st.cfg.AlgM
 		if algC == nil {
@@ -248,20 +254,18 @@ func (st *batchState) prepare() {
 		if algM == nil {
 			algM = makespan.LPT{}
 		}
-		if st.prepSBO, st.err = core.PrepareSBO(st.in, algC, algM); st.err != nil {
-			return
-		}
+		st.prepSBO = ip.SBO(algC, algM)
 	}
 	if hasRLS(st.jobs) {
 		ties := st.cfg.Ties
 		if ties == nil {
 			ties = DefaultTies
 		}
-		if st.prepRLS, st.err = core.PrepareRLSIndependent(st.in, ties...); st.err != nil {
+		if st.prepRLS, st.err = ip.RLS(ties...); st.err != nil {
 			return
 		}
 	}
-	st.bounds = bounds.ForInstance(st.in)
+	st.bounds = ip.Bounds()
 }
 
 // executeJob runs job j of this item against the memoized prepared

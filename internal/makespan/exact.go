@@ -177,7 +177,7 @@ func (b BranchAndBound) Solve(sizes []Size, m int) (Size, Assignment) {
 	if n == 0 {
 		return 0, Assignment{}
 	}
-	order := descendingOrder(sizes)
+	order := DescendingOrder(sizes)
 	lb := LowerBound(sizes, m)
 
 	// Incumbent: LPT.

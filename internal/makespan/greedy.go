@@ -19,7 +19,7 @@ func (ListScheduling) Assign(sizes []Size, m int) Assignment {
 	for i := range order {
 		order[i] = i
 	}
-	return assignGreedy(sizes, m, order)
+	return AssignGreedy(sizes, m, order)
 }
 
 // LPT is Graham's longest-processing-time rule: list scheduling after
@@ -35,5 +35,5 @@ func (LPT) Ratio(m int) float64 { return 4.0/3.0 - 1/(3*float64(m)) }
 // Assign implements Algorithm.
 func (LPT) Assign(sizes []Size, m int) Assignment {
 	validate(sizes, m)
-	return assignGreedy(sizes, m, descendingOrder(sizes))
+	return AssignGreedy(sizes, m, DescendingOrder(sizes))
 }

@@ -18,6 +18,7 @@ package makespan
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"storagesched/internal/model"
@@ -73,7 +74,8 @@ type Algorithm interface {
 	// Ratio returns the proven approximation ratio for m processors
 	// (for reporting; +Inf-free: exact solvers return 1).
 	Ratio(m int) float64
-	// Assign computes the processor assignment.
+	// Assign computes the processor assignment. It must not modify
+	// sizes, which callers share with other consumers.
 	Assign(sizes []Size, m int) Assignment
 }
 
@@ -90,20 +92,55 @@ func validate(sizes []Size, m int) {
 	}
 }
 
-// descendingOrder returns task indices sorted by decreasing size,
-// breaking ties by index for determinism.
-func descendingOrder(sizes []Size) []int {
-	order := make([]int, len(sizes))
+// DescendingOrder returns the indices of keys sorted by decreasing
+// key, lowest index first among equal keys. That order is total, so it
+// is the one permutation a stable sort of the identity by key gives.
+//
+// When every key is ≥ 0 and their spread fits in 31 bits (and the
+// index in 32), each entry of the result is first packed as
+// (max−key)<<32 | index and the packed ints are sorted ascending in
+// place, which needs no buffer beyond the result and no comparator
+// closure; the mask then leaves the index. Other keys (a negative key,
+// or a spread of 2^31 or more, as huge p or long bottom levels can
+// have) and 32-bit ints take the (key desc, index asc) comparator.
+// Both paths give the same permutation.
+func DescendingOrder(keys []Size) []int {
+	order := make([]int, len(keys))
+	if top, ok := packTop(keys); ok {
+		for i, k := range keys {
+			order[i] = int(uint64(top-k)<<32 | uint64(i))
+		}
+		slices.Sort(order)
+		for r, x := range order {
+			order[r] = int(uint64(x) & (1<<32 - 1))
+		}
+		return order
+	}
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(sizes[b], sizes[a]); c != 0 {
+		if c := cmp.Compare(keys[b], keys[a]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
 	return order
+}
+
+// packTop returns the largest key and whether DescendingOrder may pack
+// keys beside their index in one int: a 64-bit int, at most 2^32
+// indices, and keys in [lo, lo+2^31) with lo ≥ 0, so that
+// (max−key)<<32 | index stays non-negative.
+func packTop(keys []Size) (Size, bool) {
+	if bits.UintSize != 64 || len(keys) == 0 || uint64(len(keys)) > 1<<32 {
+		return 0, false
+	}
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	return hi, lo >= 0 && hi-lo < 1<<31
 }
 
 // minLoadProc returns the least-loaded processor (lowest index wins
@@ -118,9 +155,11 @@ func minLoadProc(loads []Size) int {
 	return best
 }
 
-// assignGreedy places tasks on the least-loaded processor in the given
-// order.
-func assignGreedy(sizes []Size, m int, order []int) Assignment {
+// AssignGreedy places tasks on the least-loaded processor in the given
+// order: Graham's list scheduling over order. Over
+// DescendingOrder(sizes) it is LPT, which is how a caller that already
+// holds that order gets LPT without sorting again.
+func AssignGreedy(sizes []Size, m int, order []int) Assignment {
 	a := make(Assignment, len(sizes))
 	loads := make([]Size, m)
 	for _, i := range order {

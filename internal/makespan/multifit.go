@@ -26,7 +26,7 @@ func (mf Multifit) Assign(sizes []Size, m int) Assignment {
 	if iters <= 0 {
 		iters = 20
 	}
-	order := descendingOrder(sizes)
+	order := DescendingOrder(sizes)
 	lo := LowerBound(sizes, m) // no packing below the lower bound
 	hi := 2 * lo               // FFD always packs at capacity 2·LB
 	if hi == 0 {
@@ -37,7 +37,7 @@ func (mf Multifit) Assign(sizes []Size, m int) Assignment {
 		// Cannot happen (capacity 2·LB always packs: FFD load per bin
 		// stays below LB + max <= 2·LB), but fall back defensively to
 		// plain greedy rather than returning a nil assignment.
-		return assignGreedy(sizes, m, order)
+		return AssignGreedy(sizes, m, order)
 	}
 	for it := 0; it < iters && lo < hi; it++ {
 		mid := lo + (hi-lo)/2

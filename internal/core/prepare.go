@@ -18,9 +18,9 @@ import (
 //   - the ΣCi bound walks byP in reverse.
 //
 // byP is sorted by the first consumer that needs it, so an SBO with
-// other sub-algorithms than LPT does not pay for it. The s vector is
-// copied and sorted only by SBO, for LPT's memory schedule π2. The
-// engine prepares every instance item through PrepareInstance, and
+// other sub-algorithms than LPT does not pay for it. No other consumer
+// reads s, so SBO's memory schedule π2 is algM.Assign on a copy of it.
+// The engine prepares every instance item through PrepareInstance, and
 // PrepareSBO, PrepareRLSIndependent and PrepareConstrainedIndependent
 // are PrepareInstance plus the matching method. An InstancePrep is not
 // safe for concurrent use; the prepared values its methods return are,
@@ -50,22 +50,18 @@ func (ip *InstancePrep) descP() []int {
 }
 
 // SBO runs Algorithm 1's two sub-algorithms: algC on p for π1, algM on
-// s for π2. LPT list-schedules over the descending order (byP for π1,
-// one sort of s for π2); any other algorithm is called through Assign.
+// s for π2. An LPT algC list-schedules over byP, which RLS and the
+// bounds share; any other algorithm is called through Assign on its own
+// copy of the sizes, so it may reorder them freely.
 func (ip *InstancePrep) SBO(algC, algM makespan.Algorithm) *SBOPrepared {
 	in := ip.in
-	var pi1, pi2 model.Assignment
+	var pi1 model.Assignment
 	if isLPT(algC) {
 		pi1 = makespan.AssignGreedy(ip.p, in.M, ip.descP())
 	} else {
-		pi1 = algC.Assign(ip.p, in.M)
+		pi1 = algC.Assign(in.P(), in.M)
 	}
-	s := in.S()
-	if isLPT(algM) {
-		pi2 = makespan.AssignGreedy(s, in.M, makespan.DescendingOrder(s))
-	} else {
-		pi2 = algM.Assign(s, in.M)
-	}
+	pi2 := algM.Assign(in.S(), in.M)
 	return &SBOPrepared{
 		in:  in,
 		pi1: pi1,

@@ -74,8 +74,7 @@ type Algorithm interface {
 	// Ratio returns the proven approximation ratio for m processors
 	// (for reporting; +Inf-free: exact solvers return 1).
 	Ratio(m int) float64
-	// Assign computes the processor assignment. It must not modify
-	// sizes, which callers share with other consumers.
+	// Assign computes the processor assignment.
 	Assign(sizes []Size, m int) Assignment
 }
 

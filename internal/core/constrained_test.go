@@ -348,7 +348,7 @@ func TestConstrainedDAGPreparedBudgetSweep(t *testing.T) {
 // TestRLSPreparedConstrainedParity walks a prepared independent-task
 // solver through the whole budget band and checks every outcome —
 // schedule, objectives and both error sentinels — against a fresh
-// RLSIndependentWithCap call per budget.
+// cappedRLSIndependent call per budget.
 func TestRLSPreparedConstrainedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 10; trial++ {
@@ -366,7 +366,7 @@ func TestRLSPreparedConstrainedParity(t *testing.T) {
 				}
 				continue
 			}
-			want, wantErr := RLSIndependentWithCap(in, budget, TieSPT)
+			want, wantErr := cappedRLSIndependent(in, budget, TieSPT)
 			if wantErr != nil {
 				var tooSmall ErrCapTooSmall
 				if !errors.As(wantErr, &tooSmall) {

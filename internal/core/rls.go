@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"storagesched/internal/bounds"
 	"storagesched/internal/dag"
@@ -164,25 +165,6 @@ func RLS(g *dag.Graph, delta float64, tie TieBreak) (*RLSResult, error) {
 	}
 	res.Delta = delta
 	res.LB = lb
-	return res, nil
-}
-
-// RLSWithCap runs the same loop with an explicit per-processor memory
-// budget instead of ∆·LB — the form the Section 7 constrained solver
-// needs. It fails with ErrCapTooSmall when some ready task fits on no
-// processor, which can only happen for caps below 2·LB.
-func RLSWithCap(g *dag.Graph, cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := rlsWithCap(g, cap, tie)
-	if err != nil {
-		return nil, err
-	}
-	res.LB = bounds.MemLB(g.S, g.M)
-	if res.LB > 0 {
-		res.Delta = float64(cap) / float64(res.LB)
-	}
 	return res, nil
 }
 
@@ -519,22 +501,6 @@ func RLSIndependent(in *model.Instance, delta float64, tie TieBreak) (*RLSResult
 	return res, nil
 }
 
-// RLSIndependentWithCap is the explicit-cap form of RLSIndependent.
-func RLSIndependentWithCap(in *model.Instance, cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := rlsIndependentWithCap(in, cap, tie)
-	if err != nil {
-		return nil, err
-	}
-	res.LB = instanceMemLB(in)
-	if res.LB > 0 {
-		res.Delta = float64(cap) / float64(res.LB)
-	}
-	return res, nil
-}
-
 func rlsIndependentWithCap(in *model.Instance, cap model.Mem, tie TieBreak) (*RLSResult, error) {
 	o := orderer{p: in.P()}
 	order, err := o.order(tie)
@@ -612,12 +578,14 @@ func rlsIndependentOrdered(in *model.Instance, order []int, cap model.Mem, scr *
 // RLSPrepared memoizes the δ-independent work of RLSIndependent —
 // instance validation, the Graham memory lower bound, and the
 // tie-break orders — so a δ-sweep pays each exactly once per instance.
-// The prepared value is immutable after PrepareRLSIndependent and safe
-// for concurrent Run and Value calls.
+// Beyond that it holds one cap-free memo per tie (capFree), filled by
+// the first Value call that needs it. It is safe for concurrent Run and
+// Value calls.
 type RLSPrepared struct {
 	in     *model.Instance
 	lb     model.Mem
 	orders map[TieBreak][]int
+	free   [numTies]capFree
 }
 
 // PrepareRLSIndependent validates the instance and precomputes the
@@ -653,7 +621,8 @@ func (prep *RLSPrepared) Run(delta float64, tie TieBreak) (*RLSResult, error) {
 // Value is Run's (Cmax, Mmax) without the witness. scr is the caller's
 // scratch (nil borrows from the internal pool); with a warm one, Value
 // allocates nothing. The sweep engine's workers call it, one Scratch
-// each.
+// each. A δ whose cap never binds is answered from the tie's cap-free
+// memo (capFree).
 func (prep *RLSPrepared) Value(delta float64, tie TieBreak, scr *Scratch) (model.Value, error) {
 	cap, err := deltaCap(delta, prep.lb)
 	if err != nil {
@@ -663,7 +632,16 @@ func (prep *RLSPrepared) Value(delta float64, tie TieBreak, scr *Scratch) (model
 	if err != nil {
 		return model.Value{}, err
 	}
-	return independentValue(prep.in, order, cap, scr)
+	free := &prep.free[tie]
+	free.once.Do(func() {
+		if sizesFit(prep.in.Tasks, func(t model.Task) model.Mem { return t.S }) {
+			free.set(independentValue(prep.in, order, noCap, scr))
+		}
+	})
+	if free.binds(cap) {
+		return independentValue(prep.in, order, cap, scr)
+	}
+	return free.v, nil
 }
 
 // RunWithCap executes one evaluation under an explicit per-processor
@@ -693,6 +671,63 @@ func (prep *RLSPrepared) order(tie TieBreak) ([]int, error) {
 	return order, nil
 }
 
+// numTies is the number of TieBreak values: the length of the
+// prepared solvers' per-tie memo arrays.
+const numTies = int(TieBottomLevel) + 1
+
+// noCap is the memory cap no run can reach once the sizes' total fits
+// an int64 (sizesFit).
+const noCap = model.Mem(math.MaxInt64)
+
+// capFree memoizes, for one prepared item and tie-break, the value of
+// the RLS run under no memory cap. A run under a cap at least that
+// value's Mmax makes the same choice at every step, so it has the same
+// value and need not run:
+//
+//   - independent tasks: every placement of the cap-free run goes to the
+//     least-loaded processor and leaves its memory at most Mmax, so it
+//     is the capped loop's first feasible processor too;
+//   - task DAGs: under the cap, only tasks the cap-free run did not
+//     choose can be sent past the least-loaded processor or deferred.
+//     That only raises their (start, rank) key, and rank is a
+//     permutation, so the chosen task stays the unique minimum; it
+//     still fits on the least-loaded processor.
+//
+// Only the value is shared: the Lemma 4 marks of a capped run can
+// differ, so the witness entries always run the loop. The memo is
+// computed once, by the first Value call for its tie, under once.
+type capFree struct {
+	once sync.Once
+	v    model.Value
+	ok   bool // v is the cap-free value
+}
+
+// set records the outcome of the cap-free run; a failed run leaves the
+// memo unused.
+func (c *capFree) set(v model.Value, err error) {
+	c.v, c.ok = v, err == nil
+}
+
+// binds reports whether a run under cap must run the loop: the memo is
+// unset, or the cap-free run's memory exceeds cap.
+func (c *capFree) binds(cap model.Mem) bool {
+	return !c.ok || c.v.Mmax > cap
+}
+
+// sizesFit reports whether the items' sizes total at most MaxInt64, so
+// that no processor's memory overflows in any run and noCap never
+// binds. The sizes are non-negative, so a running total that overflows
+// turns negative at its first overflow.
+func sizesFit[T any](items []T, size func(T) model.Mem) bool {
+	var total model.Mem
+	for _, it := range items {
+		if total += size(it); total < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // deltaCap validates an RLS parameter and returns the budget ⌊∆·LB⌋
 // it enforces.
 func deltaCap(delta float64, lb model.Mem) (model.Mem, error) {
@@ -705,14 +740,15 @@ func deltaCap(delta float64, lb model.Mem) (model.Mem, error) {
 // RLSGraphPrepared memoizes the δ-independent work of RLS on a task
 // DAG — validation (including the topological cycle check), the Graham
 // memory lower bound and the tie-break ranks — so a
-// δ-sweep pays each exactly once per graph. The prepared value is
-// immutable after PrepareRLS and safe for concurrent Run and Value
-// calls.
+// δ-sweep pays each exactly once per graph. Beyond that it holds one
+// cap-free memo per tie (capFree), filled by the first Value call that
+// needs it. It is safe for concurrent Run and Value calls.
 type RLSGraphPrepared struct {
 	g      *dag.Graph
 	lb     model.Mem
 	npreds []int
 	ranks  map[TieBreak][]int
+	free   [numTies]capFree
 }
 
 // PrepareRLS validates the graph and precomputes the tie ranks for the
@@ -772,7 +808,8 @@ func (prep *RLSGraphPrepared) Run(delta float64, tie TieBreak) (*RLSResult, erro
 
 // Value is Run's (Cmax, Mmax) without the witness. scr is the caller's
 // scratch (nil borrows from the internal pool); with a warm one, Value
-// allocates nothing.
+// allocates nothing. A δ whose cap never binds is answered from the
+// tie's cap-free memo (capFree).
 func (prep *RLSGraphPrepared) Value(delta float64, tie TieBreak, scr *Scratch) (model.Value, error) {
 	cap, err := deltaCap(delta, prep.lb)
 	if err != nil {
@@ -782,7 +819,16 @@ func (prep *RLSGraphPrepared) Value(delta float64, tie TieBreak, scr *Scratch) (
 	if err != nil {
 		return model.Value{}, err
 	}
-	return rankedValue(prep.g, rank, prep.npreds, cap, scr)
+	free := &prep.free[tie]
+	free.once.Do(func() {
+		if sizesFit(prep.g.S, func(s model.Mem) model.Mem { return s }) {
+			free.set(rankedValue(prep.g, rank, prep.npreds, noCap, scr))
+		}
+	})
+	if free.binds(cap) {
+		return rankedValue(prep.g, rank, prep.npreds, cap, scr)
+	}
+	return free.v, nil
 }
 
 // RunWithCap executes one evaluation under an explicit per-processor

@@ -324,9 +324,9 @@ func TestRLSWithCapExplicit(t *testing.T) {
 	in := model.NewInstance(2, []model.Time{1, 1, 1, 1}, []model.Mem{10, 10, 10, 10})
 	// Cap 20 = LB: perfectly balanced split required; the greedy
 	// achieves it here.
-	res, err := RLSIndependentWithCap(in, 20, TieByID)
+	res, err := cappedRLSIndependent(in, 20, TieByID)
 	if err != nil {
-		t.Fatalf("RLSIndependentWithCap: %v", err)
+		t.Fatalf("cappedRLSIndependent: %v", err)
 	}
 	if res.Mmax != 20 {
 		t.Errorf("Mmax = %d, want 20", res.Mmax)
@@ -334,7 +334,7 @@ func TestRLSWithCapExplicit(t *testing.T) {
 	// Cap 19 < LB: some task cannot be placed once both processors
 	// hold one task... actually cap 19 < 20=LB means after one task
 	// per processor (10 each), the next needs 20 > 19: stuck.
-	if _, err := RLSIndependentWithCap(in, 19, TieByID); err == nil {
+	if _, err := cappedRLSIndependent(in, 19, TieByID); err == nil {
 		t.Error("cap below LB accepted")
 	}
 }
@@ -395,7 +395,7 @@ func TestRLSNonFiniteDeltaErrors(t *testing.T) {
 }
 
 // TestPrepareRLSMatchesUnprepared checks the graph-prepared path is
-// bit-identical to direct RLS / RLSWithCap calls for every tie-break
+// bit-identical to direct RLS / cappedRLS calls for every tie-break
 // across a δ-grid — the contract the sweep engine relies on.
 func TestPrepareRLSMatchesUnprepared(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -436,9 +436,9 @@ func TestPrepareRLSMatchesUnprepared(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: prepared RunWithCap(%d, %s): %v", trial, cap, tie, err)
 			}
-			want, err := RLSWithCap(g, cap, tie)
+			want, err := cappedRLS(g, cap, tie)
 			if err != nil {
-				t.Fatalf("trial %d: RLSWithCap(%d, %s): %v", trial, cap, tie, err)
+				t.Fatalf("trial %d: cappedRLS(%d, %s): %v", trial, cap, tie, err)
 			}
 			if got.Cmax != want.Cmax || got.Mmax != want.Mmax || got.Delta != want.Delta {
 				t.Fatalf("trial %d %s cap=%d: prepared (%d,%d), direct (%d,%d)",

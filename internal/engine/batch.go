@@ -369,9 +369,9 @@ func (st *batchState) assemble() *Result {
 }
 
 // result is the item's BatchResult once its jobs are done: the cached
-// Result of a hit, or the computed one — written back to c when
+// Result of a hit, or the computed one — written back through w when
 // admission recorded a miss.
-func (st *batchState) result(c *cache.Cache) BatchResult {
+func (st *batchState) result(w *entryWriter) BatchResult {
 	br := BatchResult{Index: st.index, Err: st.err, Tag: st.tag}
 	switch {
 	case st.cached != nil:
@@ -380,18 +380,29 @@ func (st *batchState) result(c *cache.Cache) BatchResult {
 	case st.err == nil:
 		br.Result = st.assemble()
 		if st.writeBack {
-			putResult(c, st.key, br.Result)
+			w.put(st.key, br.Result)
 		}
 	}
 	return br
 }
 
-// putResult writes a computed Result back to the cache; an entry that
-// does not encode is simply not cached.
-func putResult(c *cache.Cache, key cache.Key, res *Result) {
-	if data, err := encodeResult(res); err == nil {
-		c.Put(key, data)
+// entryWriter writes computed Results back to the cache. The emitter
+// owns it, so every entry is encoded into the one buffer it reuses.
+type entryWriter struct {
+	c   *cache.Cache
+	buf []byte
+}
+
+// put writes res back at key; an entry that does not encode is simply
+// not cached. The cache keeps the slice it is given, so it gets an
+// exact-length copy of the buffer.
+func (w *entryWriter) put(key cache.Key, res *Result) {
+	data, err := appendResult(w.buf[:0], res)
+	w.buf = data
+	if err != nil {
+		return
 	}
+	w.c.Put(key, append(make([]byte, 0, len(data)), data...))
 }
 
 // Planner plans an item's refinement δ-grid from its coarse Result;
@@ -447,15 +458,15 @@ func (st *batchState) refine(plan Planner, c *cache.Cache) (*refinement, error) 
 // index, so coarse witnesses win ties). Both phases' cache entries are
 // written back here, the coarse one first; the merge is a cache hit
 // only when every phase was.
-func (r *refinement) result(st *batchState, c *cache.Cache) BatchResult {
+func (r *refinement) result(st *batchState, w *entryWriter) BatchResult {
 	if r.writeBack {
-		putResult(c, r.key, r.coarse)
+		w.put(r.key, r.coarse)
 	}
 	br := BatchResult{Index: st.index, Result: r.coarse, Tag: st.tag, CacheHit: r.hit}
 	if !r.refined {
 		return br
 	}
-	fine := st.result(c)
+	fine := st.result(w)
 	if fine.Err != nil {
 		// The planned grid is valid by construction, so a refinement
 		// failure is exceptional; surface it on the item rather than
@@ -717,6 +728,7 @@ func sweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 	// were skipped (or never all enqueued) only occurs under
 	// cancellation, which ctx.Err() reports below.
 	var emitErr error
+	entries := &entryWriter{c: cfg.Cache}
 emitting:
 	for p := range order {
 		st := p.st
@@ -736,9 +748,9 @@ emitting:
 		}
 		var br BatchResult
 		if p.ref != nil {
-			br = p.ref.result(st, cfg.Cache)
+			br = p.ref.result(st, entries)
 		} else {
-			br = st.result(cfg.Cache)
+			br = st.result(entries)
 		}
 		// Drop the prepared state before emitting: only the Result —
 		// now owned by the caller — outlives this iteration.

@@ -10,16 +10,12 @@ package engine
 // completed front is written back at emission.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"storagesched/internal/bounds"
 	"storagesched/internal/cache"
-	"storagesched/internal/core"
 	"storagesched/internal/makespan"
-	"storagesched/internal/model"
 )
 
 // fingerprintVersion prefixes every config fingerprint; bump it when
@@ -99,58 +95,9 @@ func itemKey(st *batchState, fp string) cache.Key {
 	return cache.KeyFor(canonical, fp)
 }
 
-// wireVersion guards the cached-Result encoding; bump it whenever the
-// wire structs change shape so stale entries decode as misses.
+// wireVersion guards the cached-Result encoding (appendResult); bump it
+// whenever the entry layout changes so stale entries decode as misses.
 const wireVersion = 1
-
-// wireResult is the cached form of a Result: the bounds record, each
-// run's provenance (algorithm, tie, δ), achieved objective value and
-// error message, and the assembled front — every field a Result has, so
-// a decoded entry has a computed Result's shape; a run's error comes
-// back as its message (BatchResult.CacheHit tells the two apart).
-type wireResult struct {
-	V      int              `json:"v"`
-	Bounds bounds.Record    `json:"bounds"`
-	Runs   []wireRun        `json:"runs"`
-	Front  []wireFrontPoint `json:"front,omitempty"`
-}
-
-type wireRun struct {
-	Algorithm Algorithm     `json:"alg"`
-	Tie       core.TieBreak `json:"tie"`
-	Delta     float64       `json:"delta"`
-	Cmax      model.Time    `json:"cmax"`
-	Mmax      model.Mem     `json:"mmax"`
-	Err       string        `json:"err,omitempty"`
-}
-
-type wireFrontPoint struct {
-	Cmax     model.Time `json:"cmax"`
-	Mmax     model.Mem  `json:"mmax"`
-	RunIndex int        `json:"run"`
-}
-
-// encodeResult serializes a completed Result for the cache.
-func encodeResult(res *Result) ([]byte, error) {
-	wr := wireResult{V: wireVersion, Bounds: res.Bounds, Runs: make([]wireRun, len(res.Runs))}
-	for i, r := range res.Runs {
-		w := wireRun{
-			Algorithm: r.Algorithm,
-			Tie:       r.Tie,
-			Delta:     r.Delta,
-			Cmax:      r.Value.Cmax,
-			Mmax:      r.Value.Mmax,
-		}
-		if r.Err != nil {
-			w.Err = r.Err.Error()
-		}
-		wr.Runs[i] = w
-	}
-	for _, p := range res.Front {
-		wr.Front = append(wr.Front, wireFrontPoint{Cmax: p.Value.Cmax, Mmax: p.Value.Mmax, RunIndex: p.RunIndex})
-	}
-	return json.Marshal(wr)
-}
 
 // CheckCachedResult reports whether data decodes as a cached sweep
 // Result — the integrity check `schedcli cache verify` and the cache

@@ -49,7 +49,7 @@ func encodeAll(t testing.TB, results []BatchResult) [][]byte {
 		if br.Err != nil {
 			t.Fatalf("item %d: %v", br.Index, br.Err)
 		}
-		data, err := encodeResult(br.Result)
+		data, err := appendResult(nil, br.Result)
 		if err != nil {
 			t.Fatalf("encoding item %d: %v", br.Index, err)
 		}
@@ -300,7 +300,7 @@ func TestDecodeResultRejectsDefects(t *testing.T) {
 // Per-run errors round-trip as messages through the wire format.
 func TestWireRoundTripPreservesRunErrors(t *testing.T) {
 	res := &Result{Runs: []Run{{Algorithm: AlgRLS, Delta: 3, Err: errForTest}}}
-	data, err := encodeResult(res)
+	data, err := appendResult(nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,19 @@
 package engine
 
-// The read side of the cache-entry codec. encodeResult writes an entry
-// with json.Marshal; decodeResult reads it back in one pass over the
-// bytes, without reflection, and then validates what it read before
-// the Result may be served.
+// The cache-entry codec. appendResult writes an entry and decodeResult
+// reads it back, each in one pass over the bytes without reflection;
+// the decoder then validates what it read before the Result may be
+// served.
 //
-// The decoder accepts exactly the layout json.Marshal gives a
-// wireResult: keys in field order, no whitespace, "front" and "err"
-// present only when non-empty. It rejects much that encoding/json
-// would take — unknown, duplicate, reordered or case-folded keys, null
-// values, whitespace, invalid UTF-8 and lone surrogates in a string —
-// because encodeResult never writes it. Rejecting an entry is always
-// safe: a rejected entry is a cache miss, so the item is recomputed and
-// its entry overwritten.
+// An entry is the JSON object json.Marshal would write for the entry's
+// wire struct (codec_ref_test.go keeps it and that encoder as the
+// reference): keys in field order, no whitespace, "front" and "err"
+// present only when non-empty. The decoder accepts exactly that
+// layout. It rejects much that encoding/json would take — unknown,
+// duplicate, reordered or case-folded keys, null values, whitespace,
+// invalid UTF-8 and lone surrogates in a string — because appendResult
+// never writes it. Rejecting an entry is always safe: a rejected entry
+// is a cache miss, so the item is recomputed and its entry overwritten.
 
 import (
 	"errors"
@@ -26,6 +27,153 @@ import (
 	"storagesched/internal/core"
 	"storagesched/internal/model"
 )
+
+// appendResult appends the cache entry of res to dst. Its bytes are
+// json.Marshal's for the entry's wire struct: the δ of a run as
+// encoding/json formats a float64, a run's error message escaped as
+// encoding/json escapes a string, and "front" and "err" left out when
+// empty. A non-finite δ has no JSON form, so a Result with one is an
+// error: it is not cached.
+func appendResult(dst []byte, res *Result) ([]byte, error) {
+	b := &res.Bounds
+	dst = append(dst, `{"v":`...)
+	dst = strconv.AppendInt(dst, wireVersion, 10)
+	dst = append(dst, `,"bounds":{"M":`...)
+	dst = strconv.AppendInt(dst, int64(b.M), 10)
+	for _, f := range [...]struct {
+		key string
+		v   int64
+	}{
+		{`,"WorkOverM":`, b.WorkOverM},
+		{`,"MaxP":`, b.MaxP},
+		{`,"CriticalPath":`, b.CriticalPath},
+		{`,"CmaxLB":`, b.CmaxLB},
+		{`,"MemOverM":`, b.MemOverM},
+		{`,"MaxS":`, b.MaxS},
+		{`,"MmaxLB":`, b.MmaxLB},
+		{`,"SumCiLB":`, b.SumCiLB},
+	} {
+		dst = append(dst, f.key...)
+		dst = strconv.AppendInt(dst, f.v, 10)
+	}
+	dst = append(dst, `},"runs":[`...)
+	for i, r := range res.Runs {
+		if math.IsNaN(r.Delta) || math.IsInf(r.Delta, 0) {
+			return dst, fmt.Errorf("engine: run %d: δ = %g has no JSON form", i, r.Delta)
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"alg":`...)
+		dst = strconv.AppendInt(dst, int64(r.Algorithm), 10)
+		dst = append(dst, `,"tie":`...)
+		dst = strconv.AppendInt(dst, int64(r.Tie), 10)
+		dst = append(dst, `,"delta":`...)
+		dst = appendJSONFloat(dst, r.Delta)
+		dst = append(dst, `,"cmax":`...)
+		dst = strconv.AppendInt(dst, r.Value.Cmax, 10)
+		dst = append(dst, `,"mmax":`...)
+		dst = strconv.AppendInt(dst, r.Value.Mmax, 10)
+		if r.Err != nil {
+			if msg := r.Err.Error(); msg != "" {
+				dst = append(dst, `,"err":`...)
+				dst = appendJSONString(dst, msg)
+			}
+		}
+		dst = append(dst, '}')
+	}
+	dst = append(dst, ']')
+	if len(res.Front) > 0 {
+		dst = append(dst, `,"front":[`...)
+		for k, p := range res.Front {
+			if k > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"cmax":`...)
+			dst = strconv.AppendInt(dst, p.Value.Cmax, 10)
+			dst = append(dst, `,"mmax":`...)
+			dst = strconv.AppendInt(dst, p.Value.Mmax, 10)
+			dst = append(dst, `,"run":`...)
+			dst = strconv.AppendInt(dst, int64(p.RunIndex), 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// the shortest decimal that round-trips, in 'f' form unless |f| is
+// below 1e-6 or at least 1e21, where it is in 'e' form with a one-digit
+// negative exponent not zero-padded (1e-7, not 1e-07).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json
+// writes one: '"' and '\\' and the control characters escaped, the
+// HTML-sensitive '<', '>' and '&' and the JavaScript line terminators
+// U+2028 and U+2029 as \u escapes, and each byte of invalid UTF-8 as
+// U+FFFD.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0 // start of the bytes not yet copied
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
 
 // decodeResult deserializes and validates a cached Result (checkResult).
 // Any defect is an error, which callers treat as a cache miss.
@@ -158,9 +306,9 @@ type entryDecoder struct {
 
 var errTruncated = errors.New("unexpected end of entry")
 
-// result decodes the whole entry as a Result. json.Marshal writes a
-// wireResult's keys in field order with no whitespace, so the decoder
-// matches each key with its punctuation as one literal.
+// result decodes the whole entry as a Result. appendResult writes the
+// keys in field order with no whitespace, so the decoder matches each
+// key with its punctuation as one literal.
 func (d *entryDecoder) result() (*Result, error) {
 	res := &Result{}
 	v, err := d.integerAfter(`{"v":`)
@@ -415,7 +563,7 @@ func (d *entryDecoder) float() (float64, error) {
 }
 
 // str reads a JSON string. The raw bytes must be valid UTF-8 and a
-// \u escape of a surrogate must be half of a valid pair: json.Marshal
+// \u escape of a surrogate must be half of a valid pair: appendResult
 // writes nothing else, where encoding/json would substitute U+FFFD.
 func (d *entryDecoder) str() (string, error) {
 	if err := d.expect(`"`); err != nil {

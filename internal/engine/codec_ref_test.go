@@ -1,9 +1,11 @@
 package engine
 
-// The encoding/json entry decoder the single-pass decoder replaced,
-// kept as the differential reference for FuzzDecodeResult and the codec
-// tests, plus refCheck: the entry checks restated as literally as
-// possible, the front check included as an equality with AssembleFront.
+// The encoding/json entry codec the single-pass encoder and decoder
+// replaced — the wire structs, refEncodeResult and refDecodeResult —
+// kept as the differential reference for FuzzEncodeResult,
+// FuzzDecodeResult and the codec tests, plus refCheck: the entry checks
+// restated as literally as possible, the front check included as an
+// equality with AssembleFront.
 
 import (
 	"encoding/json"
@@ -11,9 +13,60 @@ import (
 	"fmt"
 	"reflect"
 
+	"storagesched/internal/bounds"
 	"storagesched/internal/core"
 	"storagesched/internal/model"
 )
+
+// wireResult is the cached form of a Result: the bounds record, each
+// run's provenance (algorithm, tie, δ), achieved objective value and
+// error message, and the assembled front — every field a Result has, so
+// a decoded entry has a computed Result's shape; a run's error comes
+// back as its message (BatchResult.CacheHit tells the two apart).
+type wireResult struct {
+	V      int              `json:"v"`
+	Bounds bounds.Record    `json:"bounds"`
+	Runs   []wireRun        `json:"runs"`
+	Front  []wireFrontPoint `json:"front,omitempty"`
+}
+
+type wireRun struct {
+	Algorithm Algorithm     `json:"alg"`
+	Tie       core.TieBreak `json:"tie"`
+	Delta     float64       `json:"delta"`
+	Cmax      model.Time    `json:"cmax"`
+	Mmax      model.Mem     `json:"mmax"`
+	Err       string        `json:"err,omitempty"`
+}
+
+type wireFrontPoint struct {
+	Cmax     model.Time `json:"cmax"`
+	Mmax     model.Mem  `json:"mmax"`
+	RunIndex int        `json:"run"`
+}
+
+// refEncodeResult is the former encodeResult: json.Marshal of the wire
+// struct.
+func refEncodeResult(res *Result) ([]byte, error) {
+	wr := wireResult{V: wireVersion, Bounds: res.Bounds, Runs: make([]wireRun, len(res.Runs))}
+	for i, r := range res.Runs {
+		w := wireRun{
+			Algorithm: r.Algorithm,
+			Tie:       r.Tie,
+			Delta:     r.Delta,
+			Cmax:      r.Value.Cmax,
+			Mmax:      r.Value.Mmax,
+		}
+		if r.Err != nil {
+			w.Err = r.Err.Error()
+		}
+		wr.Runs[i] = w
+	}
+	for _, p := range res.Front {
+		wr.Front = append(wr.Front, wireFrontPoint{Cmax: p.Value.Cmax, Mmax: p.Value.Mmax, RunIndex: p.RunIndex})
+	}
+	return json.Marshal(wr)
+}
 
 // refDecodeResult is the former decodeResult: a reflective Unmarshal,
 // the version check and the witness range check.

@@ -133,10 +133,13 @@ func TestDecodeResultAcceptsEveryColdEntry(t *testing.T) {
 				if !br.CacheHit {
 					t.Errorf("item %d: warm run missed", i)
 				}
-				want, _ := encodeResult(cold[i].Result)
-				got, _ := encodeResult(br.Result)
+				want, _ := appendResult(nil, cold[i].Result)
+				got, _ := appendResult(nil, br.Result)
 				if !bytes.Equal(got, want) {
 					t.Errorf("item %d: warm result differs from the cold one", i)
+				}
+				if ref, err := refEncodeResult(cold[i].Result); err != nil || !bytes.Equal(want, ref) {
+					t.Errorf("item %d: entry differs from json.Marshal's (%v)\n got %s\nwant %s", i, err, want, ref)
 				}
 			}
 			if st := c.Stats(); st.Rejected != 0 || st.Misses != 0 {
@@ -159,7 +162,7 @@ func codecEntry(t *testing.T) (wireResult, *model.Instance, Config) {
 	if len(res.Front) < 3 {
 		t.Fatalf("front has %d points, the corruptions need 3", len(res.Front))
 	}
-	data, err := encodeResult(res)
+	data, err := appendResult(nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +319,7 @@ func TestDecodeResultAcceptsEveryEscape(t *testing.T) {
 	res := &Result{Runs: []Run{{Algorithm: AlgRLS, Delta: 3, Err: errors.New(msg)}, {Delta: 1e-7}}, Bounds: b}
 	res.Runs[1].Value = model.Value{Cmax: b.CmaxLB, Mmax: b.MmaxLB}
 	res.Front = AssembleFront(res.Runs)
-	data, err := encodeResult(res)
+	data, err := appendResult(nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,10 +620,109 @@ func FuzzDecodeResult(f *testing.F) {
 			return
 		}
 		if refErr == nil {
-			if enc, encErr := encodeResult(ref); encErr == nil && bytes.Equal(enc, data) {
+			if enc, encErr := appendResult(nil, ref); encErr == nil && bytes.Equal(enc, data) {
 				t.Fatalf("rejected an entry the encoder writes (%v):\n%s", err, data)
 			}
 		}
+	})
+}
+
+// checkAppendResult requires appendResult to write json.Marshal's
+// bytes for res, or to fail where it fails, and to append to a
+// non-empty buffer without touching what it holds.
+func checkAppendResult(t *testing.T, res *Result) {
+	t.Helper()
+	want, wantErr := refEncodeResult(res)
+	got, err := appendResult(nil, res)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("appendResult error %v, json.Marshal error %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("appendResult differs from json.Marshal\n got %s\nwant %s", got, want)
+	}
+	prefix := []byte("entry:")
+	if more, _ := appendResult(prefix[:len(prefix):len(prefix)], res); !bytes.Equal(more, append(prefix, want...)) {
+		t.Fatalf("appendResult onto a buffer: %s", more)
+	}
+}
+
+// TestAppendResultMatchesMarshal pins the encoder's float and string
+// forms against json.Marshal on the values where they are subtle: both
+// sides of the 'f'/'e' switch at 1e-6 and 1e21, trimmed and untrimmed
+// exponents, negative zero, the extremes of float64, every escape an
+// error message can need, and the non-finite δ that is not cached.
+func TestAppendResultMatchesMarshal(t *testing.T) {
+	deltas := []float64{0, math.Copysign(0, -1), 1, 2.5, 1e-6, math.Nextafter(1e-6, 0), 1e-7, 1.5e-10, 1e-100,
+		1e21, math.Nextafter(1e21, 0), 1e22, 1.2345e300, math.MaxFloat64, math.SmallestNonzeroFloat64, -3.75, -1e-9,
+		123456789.123, 0.1 + 0.2, math.NaN(), math.Inf(1), math.Inf(-1)}
+	msgs := []string{"", "plain", "<a href=\"x\">&amp;</a>", "tab\tnl\ncr\rbs\bff\f\x00\x1f\x7f", `back\slash "quote" /`,
+		"\u2028\u2029 line seps", "\xff\xfe invalid \xc3", "trailing \xe2\x80", "δ ≥ 2 \U0001F600", "\ufffd literal"}
+	b := bounds.Record{M: 3, WorkOverM: -4, MaxP: math.MaxInt64, CriticalPath: math.MinInt64, CmaxLB: 9, MemOverM: 0, MaxS: 1, MmaxLB: 2, SumCiLB: 77}
+	for _, d := range deltas {
+		for _, msg := range msgs {
+			res := &Result{Bounds: b, Runs: []Run{
+				{Algorithm: AlgSBO, Delta: 1, Value: model.Value{Cmax: 3, Mmax: 4}},
+				{Algorithm: AlgRLS, Tie: core.TieBottomLevel, Delta: d, Value: model.Value{Cmax: -1, Mmax: math.MinInt64}, Err: errors.New(msg)},
+			}}
+			checkAppendResult(t, res)
+			res.Front = []FrontPoint{{Value: model.Value{Cmax: 3, Mmax: 4}}, {Value: model.Value{Cmax: 5, Mmax: -2}, RunIndex: 1}}
+			checkAppendResult(t, res)
+		}
+	}
+	checkAppendResult(t, &Result{})
+}
+
+// FuzzEncodeResult is the encoder's differential oracle: a Result built
+// from the fuzzer's values — any δ bits, any message bytes, any
+// integers — encodes to json.Marshal's bytes for its wire struct, or
+// fails exactly where json.Marshal fails.
+func FuzzEncodeResult(f *testing.F) {
+	f.Add(uint64(math.Float64bits(2.5)), "", []byte{2, 1, 0, 3, 7, 9, 1})
+	f.Add(uint64(math.Float64bits(1e-7)), "<&>\u2028\xff", []byte{1, 1, 3})
+	f.Add(uint64(math.Float64bits(1e21)), "x\x00\"\\", []byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2})
+	f.Add(uint64(math.Float64bits(math.NaN())), "nan", []byte{1, 1})
+	f.Add(uint64(1), "\U0001F600 tiny", []byte{3, 0, 255, 128})
+	f.Fuzz(func(t *testing.T, deltaBits uint64, msg string, data []byte) {
+		// next is the next data byte, 0 once they run out.
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			c := data[0]
+			data = data[1:]
+			return c
+		}
+		// value spreads a data byte over int64, extremes included.
+		value := func() int64 {
+			c := next()
+			switch c {
+			case 255:
+				return math.MaxInt64
+			case 254:
+				return math.MinInt64
+			}
+			return int64(c)*int64(c)*1e9 - 1e12
+		}
+		res := &Result{Bounds: bounds.Record{M: int(value()), WorkOverM: value(), MaxP: value(), CriticalPath: value(),
+			CmaxLB: value(), MemOverM: value(), MaxS: value(), MmaxLB: value(), SumCiLB: value()}}
+		runs := int(next() % 8)
+		for i := 0; i < runs; i++ {
+			r := Run{Algorithm: Algorithm(next() % 3), Tie: core.TieBreak(next() % 5), Value: model.Value{Cmax: value(), Mmax: value()}}
+			// Runs draw δ from the fuzzed bits, shifted per run so one
+			// input covers neighbouring exponents too.
+			r.Delta = math.Float64frombits(deltaBits + uint64(i)<<52)
+			if c := next(); c%2 == 1 {
+				r.Err = errors.New(msg[:min(len(msg), int(c))])
+			}
+			res.Runs = append(res.Runs, r)
+		}
+		for k := int(next() % 4); k > 0; k-- {
+			res.Front = append(res.Front, FrontPoint{Value: model.Value{Cmax: value(), Mmax: value()}, RunIndex: int(value())})
+		}
+		checkAppendResult(t, res)
 	})
 }
 
@@ -675,3 +777,42 @@ func BenchmarkDecodeResult_entry16(b *testing.B) { benchDecode(b, decodeResult) 
 // BenchmarkDecodeResultReflect_entry16 is the same rung through the
 // reflective reference decoder, without the checks it never had.
 func BenchmarkDecodeResultReflect_entry16(b *testing.B) { benchDecode(b, refDecodeResult) }
+
+// benchEncode encodes the Results of the 16 entries once per iteration.
+func benchEncode(b *testing.B, encode func([]byte, *Result) ([]byte, error)) {
+	entries := entries16(b)
+	results := make([]*Result, len(entries))
+	size := 0
+	for i, e := range entries {
+		res, err := decodeResult(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results[i] = res
+		size += len(e)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var buf []byte
+	for i := 0; i < b.N; i++ {
+		for _, res := range results {
+			var err error
+			if buf, err = encode(buf[:0], res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkAppendResult_entry16 is the cold write-back encode rung: the
+// single-pass encoder into one reused buffer, over 16 entries.
+//
+//	go test -run '^$' -bench 'Result_entry16' -benchmem ./internal/engine
+func BenchmarkAppendResult_entry16(b *testing.B) { benchEncode(b, appendResult) }
+
+// BenchmarkAppendResultReflect_entry16 is the same rung through the
+// json.Marshal reference encoder.
+func BenchmarkAppendResultReflect_entry16(b *testing.B) {
+	benchEncode(b, func(_ []byte, res *Result) ([]byte, error) { return refEncodeResult(res) })
+}

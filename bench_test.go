@@ -263,6 +263,39 @@ func BenchmarkSweepBatchDAG_n30(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepBatchBindingCap is the worst-case rung of the RLS
+// cap-free memo: a δ = 2 sweep of AdversarialCross(m, 100m) for m = 2…16,
+// instances built so that the memory cap binds. Where it binds, the
+// memo's cap-free run is paid on top of the capped one, once per item
+// and tie.
+func BenchmarkSweepBatchBindingCap(b *testing.B) {
+	var ins []*model.Instance
+	for m := 2; m <= 16; m++ {
+		ins = append(ins, gen.AdversarialCross(m, int64(100*m)))
+	}
+	cfg := engine.Config{Deltas: []float64{2}, Workers: runtime.NumCPU()}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		emitted := 0
+		err := engine.SweepBatch(ctx, engine.BatchOf(ins...), engine.BatchConfig{Config: cfg},
+			func(br engine.BatchResult) error {
+				if br.Err != nil {
+					return br.Err
+				}
+				emitted++
+				return nil
+			})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if emitted != len(ins) {
+			b.Fatalf("emitted %d fronts, want %d", emitted, len(ins))
+		}
+	}
+}
+
 // Cached batch sweeps: the same 50-instance workload against a
 // content-addressed front cache. Cold pays the full sweep plus hashing
 // and write-back; warm serves every front from the cache — on a

@@ -293,17 +293,17 @@ func TestRLSValueMatchesCappedRun(t *testing.T) {
 
 // TestRLSValueOverflowingSizes pins the guard of the memo: when the
 // sizes' total overflows an int64, no cap-free value is memoized and
-// Value keeps to the capped loop.
+// Value keeps to the capped loop. Here four tasks of size 2^61 reach
+// processor 0 in the cap-free run, whose memory wraps negative, so its
+// Mmax reads as if the cap never bound; under the cap of δ = 2 the
+// third of them goes to processor 1 instead.
 func TestRLSValueOverflowingSizes(t *testing.T) {
-	// LB is max s, as the wrapped total is negative, so δ = 2 is the
-	// one δ whose cap fits an int64.
-	s := []model.Mem{math.MaxInt64 / 2, math.MaxInt64 / 2, math.MaxInt64 / 2}
-	p := []model.Time{1, 2, 3}
+	const l = model.Mem(1) << 61
+	p := []model.Time{1, 1, 1, 1, 1, 1, 1, 1}
+	s := []model.Mem{l, 0, l, 0, l, 0, l, 0}
 	o := &valueOracle{t: t, scr: NewScratch()}
-	for _, m := range []int{1, 2} {
-		o.instance(fmt.Sprintf("overflow m=%d", m), model.NewInstance(m, p, s), []float64{2})
-		o.graph(fmt.Sprintf("overflow m=%d edgeless", m), dag.New(m, p, s), []float64{2})
-	}
+	o.instance("overflow", model.NewInstance(2, p, s), []float64{2})
+	o.graph("overflow edgeless", dag.New(2, p, s), []float64{2})
 	if o.memo != 0 {
 		t.Errorf("%d Value calls answered from a memo whose run overflowed", o.memo)
 	}

@@ -632,16 +632,9 @@ func (prep *RLSPrepared) Value(delta float64, tie TieBreak, scr *Scratch) (model
 	if err != nil {
 		return model.Value{}, err
 	}
-	free := &prep.free[tie]
-	free.once.Do(func() {
-		if sizesFit(prep.in.Tasks, func(t model.Task) model.Mem { return t.S }) {
-			free.set(independentValue(prep.in, order, noCap, scr))
-		}
-	})
-	if free.binds(cap) {
-		return independentValue(prep.in, order, cap, scr)
-	}
-	return free.v, nil
+	return prep.free[tie].value(cap,
+		func() bool { return sizesFit(prep.in.Tasks, func(t model.Task) model.Mem { return t.S }) },
+		func(cap model.Mem) (model.Value, error) { return independentValue(prep.in, order, cap, scr) })
 }
 
 // RunWithCap executes one evaluation under an explicit per-processor
@@ -694,18 +687,28 @@ const noCap = model.Mem(math.MaxInt64)
 //     still fits on the least-loaded processor.
 //
 // Only the value is shared: the Lemma 4 marks of a capped run can
-// differ, so the witness entries always run the loop. The memo is
-// computed once, by the first Value call for its tie, under once.
+// differ, so the witness entries always run the loop.
 type capFree struct {
 	once sync.Once
 	v    model.Value
 	ok   bool // v is the cap-free value
 }
 
-// set records the outcome of the cap-free run; a failed run leaves the
-// memo unused.
-func (c *capFree) set(v model.Value, err error) {
-	c.v, c.ok = v, err == nil
+// value returns the value of the run under cap: the memo's when cap
+// never binds, run(cap)'s otherwise. The first call fills the memo with
+// run(noCap), unless fits reports that the sizes' total overflows an
+// int64 (sizesFit); a failed run leaves the memo unused too.
+func (c *capFree) value(cap model.Mem, fits func() bool, run func(cap model.Mem) (model.Value, error)) (model.Value, error) {
+	c.once.Do(func() {
+		if fits() {
+			v, err := run(noCap)
+			c.v, c.ok = v, err == nil
+		}
+	})
+	if c.binds(cap) {
+		return run(cap)
+	}
+	return c.v, nil
 }
 
 // binds reports whether a run under cap must run the loop: the memo is
@@ -819,16 +822,9 @@ func (prep *RLSGraphPrepared) Value(delta float64, tie TieBreak, scr *Scratch) (
 	if err != nil {
 		return model.Value{}, err
 	}
-	free := &prep.free[tie]
-	free.once.Do(func() {
-		if sizesFit(prep.g.S, func(s model.Mem) model.Mem { return s }) {
-			free.set(rankedValue(prep.g, rank, prep.npreds, noCap, scr))
-		}
-	})
-	if free.binds(cap) {
-		return rankedValue(prep.g, rank, prep.npreds, cap, scr)
-	}
-	return free.v, nil
+	return prep.free[tie].value(cap,
+		func() bool { return sizesFit(prep.g.S, func(s model.Mem) model.Mem { return s }) },
+		func(cap model.Mem) (model.Value, error) { return rankedValue(prep.g, rank, prep.npreds, cap, scr) })
 }
 
 // RunWithCap executes one evaluation under an explicit per-processor

@@ -696,8 +696,8 @@ type capFree struct {
 
 // value returns the value of the run under cap: the memo's when cap
 // never binds, run(cap)'s otherwise. The first call fills the memo with
-// run(noCap), unless fits reports that the sizes' total overflows an
-// int64 (sizesFit); a failed run leaves the memo unused too.
+// run(noCap), unless fits reports that the sizes' total does not fit
+// an int64 (sizesFit); a failed run leaves the memo unused too.
 func (c *capFree) value(cap model.Mem, fits func() bool, run func(cap model.Mem) (model.Value, error)) (model.Value, error) {
 	c.once.Do(func() {
 		if fits() {
